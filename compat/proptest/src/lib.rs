@@ -139,7 +139,9 @@ pub fn __seed_for(name: &str) -> u64 {
 
 /// Defines property tests. Matches the upstream surface used here:
 /// an optional `#![proptest_config(..)]`, then `fn name(pat in strategy, ..)`
-/// items that expand to `#[test]` functions looping over generated cases.
+/// items that expand to functions looping over generated cases. As
+/// upstream, the items carry their own `#[test]` attribute; the macro adds
+/// none, so each property is registered exactly once.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
@@ -160,7 +162,6 @@ macro_rules! __proptest_items {
         $($rest:tt)*
     ) => {
         $(#[$meta])*
-        #[test]
         fn $name() {
             use ::rand::SeedableRng as _;
             let __config: $crate::test_runner::ProptestConfig = $cfg;
@@ -241,6 +242,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
+        #[test]
         fn ranges_and_vecs_respect_bounds(
             x in 1usize..20,
             f in -2.0f32..2.0,
@@ -254,6 +256,7 @@ mod tests {
             let _ = b;
         }
 
+        #[test]
         fn prop_map_and_tuples_compose(
             (flag, n) in (crate::bool::ANY, 2usize..6),
             doubled in (1usize..10).prop_map(|x| x * 2),

@@ -16,7 +16,7 @@
 //! either direction stops once the balance exceeds `t_seek`.
 
 use crate::{IqTree, PageMeta};
-use iq_cost::access_prob::fraction_in_ball;
+use iq_cost::access_prob::access_probability;
 use iq_engine::{
     drive, query_span_begin, query_span_end, AccessMethod, CandidateHeap, Executor, Filter, OrdKey,
     QueryOptions, TopK, TracedResult,
@@ -353,7 +353,7 @@ impl IqTree {
         let n_pages = self.pages().len();
         let bound = exec.prune_threshold();
 
-        // Access probability of page i (eq 2): product over its
+        // Access probability of page i (eq 2): product over its unprocessed
         // higher-priority competitors — exactly the prefix of the sorted
         // order before its rank. The product collapses quickly (each
         // intersecting page holds many points), so the walk exits early
@@ -367,27 +367,15 @@ impl IqTree {
                 return 0.0; // already prunable
             }
             let metric = tree.metric();
-            let r = metric.key_to_distance(key);
-            let mut p = 1.0f64;
-            for &j in &st.order[..st.rank[i] as usize] {
-                let j = j as usize;
-                if j == i || st.processed[j] {
-                    continue;
-                }
-                let meta = &tree.pages()[j];
-                if meta.count == 0 {
-                    continue;
-                }
-                let frac = fraction_in_ball(metric, &meta.mbr, q, r);
-                if frac >= 1.0 {
-                    return 0.0;
-                }
-                p *= (1.0 - frac).powi(meta.count as i32);
-                if p < 1e-12 {
-                    return 0.0;
-                }
-            }
-            p
+            let competitors = st.order[..st.rank[i] as usize]
+                .iter()
+                .map(|&j| j as usize)
+                .filter(|&j| !st.processed[j])
+                .map(|j| {
+                    let meta = &tree.pages()[j];
+                    (&meta.mbr, meta.count as usize)
+                });
+            access_probability(metric, q, metric.key_to_distance(key), competitors)
         };
 
         // `nprobes` caps how many pages will ever be decoded, so the run

@@ -2,30 +2,18 @@
 //! query → range → stats on real files, plus the durability commands
 //! (`checkpoint`, `recover`) on a write-ahead log with a torn tail.
 
-use std::path::PathBuf;
+mod common;
+
+use common::TempDir;
 use std::process::Command;
 
 fn iq() -> Command {
     Command::new(env!("CARGO_BIN_EXE_iq"))
 }
 
-fn temp_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("iq-cli-test-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir
-}
-
-fn temp_dir_tagged(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("iq-cli-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir
-}
-
 #[test]
 fn generate_build_query_roundtrip() {
-    let dir = temp_dir();
+    let dir = TempDir::new("cli");
     let csv = dir.join("pts.csv");
     let idx = dir.join("idx");
 
@@ -93,7 +81,7 @@ fn generate_build_query_roundtrip() {
 
 #[test]
 fn verify_detects_on_disk_corruption() {
-    let dir = temp_dir();
+    let dir = TempDir::new("cli");
     let csv = dir.join("v.csv");
     let idx = dir.join("vidx");
     let out = iq()
@@ -159,7 +147,7 @@ fn verify_detects_on_disk_corruption() {
 /// and a torn tail that `verify` flags beforehand.
 #[test]
 fn checkpoint_and_recover_handle_a_torn_wal() {
-    let dir = temp_dir_tagged("durability");
+    let dir = TempDir::new("cli-durability");
     let csv = dir.join("d.csv");
     let idx = dir.join("didx");
     let run = |args: &[&str]| {
@@ -276,7 +264,7 @@ fn checkpoint_and_recover_handle_a_torn_wal() {
 
 #[test]
 fn bench_subcommand_runs() {
-    let dir = temp_dir();
+    let dir = TempDir::new("cli");
     let csv = dir.join("b.csv");
     let out = iq()
         .args(["generate", "--kind", "uniform", "--dim", "5", "--n", "2000"])
@@ -292,6 +280,7 @@ fn bench_subcommand_runs() {
             "--queries",
             "5",
         ])
+        .current_dir(&dir)
         .output()
         .expect("run bench");
     assert!(
@@ -327,7 +316,7 @@ fn helpful_errors() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("missing --kind"));
 
     // Dimensionality mismatch on query.
-    let dir = temp_dir();
+    let dir = TempDir::new("cli");
     let csv = dir.join("p.csv");
     std::fs::write(&csv, "0.1,0.2\n0.3,0.4\n0.5,0.6\n").expect("write csv");
     let idx = dir.join("i");

@@ -193,3 +193,76 @@ fn queries_on_fresh_clock_have_reproducible_cost() {
     };
     assert_eq!(run(), run());
 }
+
+/// Sums of one query set's simulated cost and scheduler counters.
+#[derive(Debug, PartialEq, Eq)]
+struct ScheduleSums {
+    total_time_bits: u64,
+    runs: u64,
+    pages_processed: u64,
+    pages_skipped: u64,
+    refinements: u64,
+}
+
+/// Runs 64 exact k = 10 queries, each on a fresh clock, and sums what the
+/// page scheduler did.
+fn schedule_sums(w: &Workload) -> ScheduleSums {
+    let mut clock = SimClock::default();
+    let tree = IqTree::build(
+        &w.db,
+        Metric::Euclidean,
+        IqTreeOptions::default(),
+        || dev(),
+        &mut clock,
+    );
+    let mut total = 0.0f64;
+    let mut sums = ScheduleSums {
+        total_time_bits: 0,
+        runs: 0,
+        pages_processed: 0,
+        pages_skipped: 0,
+        refinements: 0,
+    };
+    for q in w.queries.iter() {
+        clock.reset();
+        let (hits, trace) = tree.knn_traced(&mut clock, q, 10);
+        assert_eq!(hits.len(), 10);
+        total += clock.total_time();
+        sums.runs += trace.runs;
+        sums.pages_processed += trace.pages_processed;
+        sums.pages_skipped += trace.pages_skipped;
+        sums.refinements += trace.refinements;
+    }
+    sums.total_time_bits = total.to_bits();
+    sums
+}
+
+/// Pins the time-optimized page scheduler (eqs 2–5) end to end: how far
+/// each sweep extends depends on the access probabilities, so a kernel
+/// change that moves a scheduling decision moves these sums (ulp-level
+/// agreement is the access-probability oracle's job). The constants were
+/// recorded with the original input-major convolution kernel, before it
+/// was rewritten; the rewrite must reproduce them bit for bit.
+#[test]
+fn golden_schedule_is_bit_identical() {
+    let cad = Workload::generate(20_000, 64, |n| data::cad_like(16, n, 77));
+    let uni = Workload::generate(4_000, 64, |n| data::uniform(16, n, 78));
+    let got = (schedule_sums(&cad), schedule_sums(&uni));
+    let want = (
+        ScheduleSums {
+            total_time_bits: 4622614516333559934,
+            runs: 83,
+            pages_processed: 593,
+            pages_skipped: 0,
+            refinements: 919,
+        },
+        ScheduleSums {
+            total_time_bits: 4621601968426458527,
+            runs: 64,
+            pages_processed: 1024,
+            pages_skipped: 0,
+            refinements: 642,
+        },
+    );
+    assert_eq!(got, want);
+}

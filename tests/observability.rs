@@ -8,27 +8,14 @@
 //! [`PhaseTimes`] breakdown, and the multi-query shared walk attributes
 //! per-query counters that reconcile with single-query traces.
 
+mod common;
+
+use common::TempDir;
 use std::path::PathBuf;
 use std::process::Command;
 
 fn iq() -> Command {
     Command::new(env!("CARGO_BIN_EXE_iq"))
-}
-
-fn temp_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("iq-obs-test-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir
-}
-
-/// Like [`temp_dir`] but namespaced per test, so tests running in
-/// parallel inside one harness process cannot race on the directory.
-fn temp_dir_named(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("iq-obs-test-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir
 }
 
 /// Builds a small on-disk index and returns its directory.
@@ -56,7 +43,7 @@ fn build_index(dir: &std::path::Path) -> PathBuf {
 
 #[test]
 fn query_trace_phases_sum_to_total() {
-    let dir = temp_dir();
+    let dir = TempDir::new("obs");
     let idx = build_index(&dir);
     let out = iq()
         .args(["query", "--index", idx.to_str().expect("utf8")])
@@ -95,7 +82,7 @@ fn query_trace_phases_sum_to_total() {
 
 #[test]
 fn stats_exports_registry_in_both_formats() {
-    let dir = temp_dir();
+    let dir = TempDir::new("obs");
     let idx = build_index(&dir);
 
     let out = iq()
@@ -156,7 +143,7 @@ fn stats_exports_registry_in_both_formats() {
 
 #[test]
 fn metrics_json_flag_writes_registry_snapshot() {
-    let dir = temp_dir();
+    let dir = TempDir::new("obs");
     let idx = build_index(&dir);
     let path = dir.join("metrics.json");
     let out = iq()
@@ -350,7 +337,7 @@ fn knn_multi_opts_traced_attributes_per_query_counters() {
 /// duration equals the query's simulated time.
 #[test]
 fn trace_json_is_chrome_trace_event_format() {
-    let dir = temp_dir_named("chrome");
+    let dir = TempDir::new("obs-chrome");
     let idx = build_index(&dir);
     let path = dir.join("trace.json");
     let out = iq()
@@ -385,7 +372,7 @@ fn trace_json_is_chrome_trace_event_format() {
 /// cost-audit band: predicted pages within 3x of observed either way.
 #[test]
 fn explain_analyze_stays_within_cost_band() {
-    let dir = temp_dir_named("explain");
+    let dir = TempDir::new("obs-explain");
     let idx = dir.join("idx");
     let out = iq()
         .args(["build", "--input", "tests/fixtures/cad600_8d.fvecs"])
@@ -436,7 +423,7 @@ fn explain_analyze_stays_within_cost_band() {
 /// read the artifacts back.
 #[test]
 fn bench_persists_slow_log_and_telemetry_for_stats() {
-    let dir = temp_dir_named("bench");
+    let dir = TempDir::new("obs-bench");
     let fixture = std::fs::canonicalize("tests/fixtures/cad600_8d.fvecs").expect("fixture");
     let out = iq()
         .current_dir(&dir)
