@@ -19,11 +19,11 @@ use crate::{IqTree, PageMeta};
 use iq_cost::access_prob::access_probability;
 use iq_engine::{
     drive, query_span_begin, query_span_end, AccessMethod, CandidateHeap, Executor, Filter, OrdKey,
-    QueryOptions, TopK, TracedResult,
+    QueryOptions, TracedResult,
 };
 use iq_obs::{CostPrediction, Phase};
 use iq_quantize::{
-    CellMatch, DistTable, DistTableBlock, WindowTable, EXACT_BITS, MAX_BLOCK_QUERIES,
+    CellMatch, DistTable, DistTableBlock, QuantPageView, WindowTable, EXACT_BITS, MAX_BLOCK_QUERIES,
 };
 use iq_storage::{fetch, read_to_vec_retry, SimClock};
 use std::cmp::Reverse;
@@ -55,6 +55,21 @@ fn note_bound(heap: &mut BinaryHeap<OrdKey>, delta: &mut f64, k: usize, hi: f64)
     }
 }
 
+/// Records the outcome of a level-3 fallback
+/// ([`IqTree::visit_exact_region`]) in one query's trace: the page was
+/// answered from its exact region, minus the entries that did not decode,
+/// or it was lost.
+fn note_fallback(trace: &mut QueryTrace, skipped: Option<u64>) {
+    match skipped {
+        Some(n) => {
+            trace.quant_fallbacks += 1;
+            trace.pages_processed += 1;
+            trace.points_skipped += n;
+        }
+        None => trace.pages_lost += 1,
+    }
+}
+
 /// Heap entry target.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum Item {
@@ -69,6 +84,8 @@ enum Item {
 /// top-k, the pruning bound, the knob budgets and the trace — live in the
 /// engine-layer [`Executor`], which is threaded alongside.
 struct SearchState<'f> {
+    /// The query point.
+    q: &'f [f32],
     /// Pushed-down attribute filter: non-matching points never enter the
     /// result set or the priority list, so the pruning bound (and with it
     /// MINDIST page pruning) derives only from matching points.
@@ -84,7 +101,7 @@ struct SearchState<'f> {
     processed: Vec<bool>,
     /// Reusable cell-number scratch for the streaming page decoder.
     cells: Vec<u32>,
-    /// Reusable coordinate scratch for exact (g = 32) pages and fallbacks.
+    /// Reusable coordinate scratch for exact (g = 32) pages.
     coords: Vec<f32>,
     /// Reusable per-(query, page-grid) distance-contribution table.
     table: DistTable,
@@ -182,6 +199,7 @@ impl IqTree {
         let metric = self.metric();
         let n_pages = self.pages().len();
         let mut st = SearchState {
+            q,
             filter,
             page_key: Vec::with_capacity(n_pages),
             order: Vec::new(),
@@ -239,9 +257,9 @@ impl IqTree {
                             return;
                         }
                         if self.options().scheduled_io {
-                            self.process_page_run(clock, q, p, &mut st, exec, heap);
+                            self.process_page_run(clock, p, &mut st, exec, heap);
                         } else {
-                            self.process_single_page(clock, q, p, &mut st, exec, heap);
+                            self.process_single_page(clock, p, &mut st, exec, heap);
                         }
                     }
                     Item::Point(page, slot, id) => {
@@ -292,10 +310,13 @@ impl IqTree {
                 None => rerank.push((id, dist)),
             }
         }
-        trace.refinements += batch.len() as u64;
+        let before = rerank.len();
         self.refine_batch_with(clock, &batch, |id, coords| {
             rerank.push((id, metric.key_to_distance(metric.distance_key(coords, q))));
         });
+        let refined = (rerank.len() - before) as u64;
+        trace.refinements += refined;
+        trace.points_skipped += batch.len() as u64 - refined;
         clock.phase_begin(Phase::TopK);
         rerank.sort_by(|a, b| {
             a.1.partial_cmp(&b.1)
@@ -309,30 +330,24 @@ impl IqTree {
     }
 
     /// Loads exactly one page (the "standard NN search" ablation, and the
-    /// degraded path when a sweep fails). Transient faults are retried; a
-    /// block that stays unreadable falls back to the exact region. Each
-    /// page read consumes one unit of the `nprobes` budget; once spent,
-    /// the page is scheduled away unread.
+    /// degraded path when a sweep fails). Each page read consumes one unit
+    /// of the `nprobes` budget; once spent, the page is scheduled away
+    /// unread.
     fn process_single_page(
         &self,
         clock: &mut SimClock,
-        q: &[f32],
         p: usize,
         st: &mut SearchState<'_>,
         exec: &mut Executor,
         heap: &mut CandidateHeap<Item>,
     ) {
-        let block = self.pages()[p].quant_block;
         st.processed[p] = true;
         if !exec.try_probe() {
             return;
         }
         exec.trace.runs += 1;
         clock.phase_begin(Phase::Filter);
-        match read_to_vec_retry(self.quant_dev(), clock, block, 1, self.retry()) {
-            Ok(buf) => self.consume_page_bytes(clock, q, p, &buf, st, exec, heap),
-            Err(_) => self.fallback_page(clock, q, p, st, exec),
-        }
+        self.consume_page(clock, p, None, st, exec, heap);
     }
 
     /// The time-optimized strategy: extend the read around the pivot while
@@ -342,7 +357,6 @@ impl IqTree {
     fn process_page_run(
         &self,
         clock: &mut SimClock,
-        q: &[f32],
         pivot: usize,
         st: &mut SearchState<'_>,
         exec: &mut Executor,
@@ -375,7 +389,7 @@ impl IqTree {
                     let meta = &tree.pages()[j];
                     (&meta.mbr, meta.count as usize)
                 });
-            access_probability(metric, q, metric.key_to_distance(key), competitors)
+            access_probability(metric, st.q, metric.key_to_distance(key), competitors)
         };
 
         // `nprobes` caps how many pages will ever be decoded, so the run
@@ -451,7 +465,7 @@ impl IqTree {
                             exec.trace.pages_skipped += 1;
                             continue;
                         }
-                        self.process_single_page(clock, q, p, st, exec, heap);
+                        self.process_single_page(clock, p, st, exec, heap);
                     }
                     return;
                 }
@@ -471,45 +485,33 @@ impl IqTree {
                 continue;
             }
             let off = (p - first) * bs;
-            self.consume_page_bytes(clock, q, p, &buf[off..off + bs], st, exec, heap);
+            self.consume_page(clock, p, Some(&buf[off..off + bs]), st, exec, heap);
         }
     }
 
-    /// Decodes a loaded page and feeds its contents to the search: exact
+    /// Decodes page `p` — from `bytes` when a sweep already loaded it,
+    /// otherwise read now — and feeds its contents to the search: exact
     /// entries update the result set directly, approximations enter the
-    /// priority list as point boxes.
+    /// priority list as point boxes. A page whose block cannot be read or
+    /// decoded contributes its exact region instead.
     ///
     /// This is the level-2 hot loop: the page is streamed through a
-    /// header-validated [`iq_quantize::QuantPageView`] and each candidate's
-    /// MINDIST comes from the per-(query, grid) [`DistTable`] — no `Vec`
+    /// header-validated [`QuantPageView`] and each candidate's MINDIST
+    /// comes from the per-(query, grid) [`DistTable`] — no `Vec`
     /// allocations, no MBR construction, no f32 reconstruction, and
     /// bit-identical keys to the naive decode-then-`Metric` path.
-    #[allow(clippy::too_many_arguments)]
-    fn consume_page_bytes(
+    fn consume_page(
         &self,
         clock: &mut SimClock,
-        q: &[f32],
         p: usize,
-        bytes: &[u8],
+        bytes: Option<&[u8]>,
         st: &mut SearchState<'_>,
         exec: &mut Executor,
         heap: &mut CandidateHeap<Item>,
     ) {
-        clock.phase_begin(Phase::Filter);
         let metric = self.metric();
-        let view = match self.codec().try_view(bytes) {
-            Ok(v) => v,
-            Err(_) => {
-                // The block read fine (or came from cache) but its payload
-                // is garbage — corruption that slipped past the checksum
-                // layer. Same degradation as an unreadable block.
-                clock.note_corrupt_block();
-                self.fallback_page(clock, q, p, st, exec);
-                return;
-            }
-        };
-        clock.charge_dist_evals(self.dim(), view.len() as u64);
         let SearchState {
+            q,
             filter,
             cells,
             coords,
@@ -517,7 +519,19 @@ impl IqTree {
             keys,
             ..
         } = st;
-        let filter = *filter;
+        let (q, filter) = (*q, *filter);
+        let mut reread = Vec::new();
+        let Some(view) = self.view_page(clock, p, bytes, &mut reread) else {
+            let skipped = self.visit_exact_region(clock, p, 1, |id, coords| {
+                if filter.is_none_or(|f| f.matches(id)) {
+                    exec.offer(metric.distance_key(coords, q), id);
+                }
+            });
+            note_fallback(&mut exec.trace, skipped);
+            return;
+        };
+        clock.phase_begin(Phase::Filter);
+        clock.charge_dist_evals(self.dim(), view.len() as u64);
         exec.trace.pages_processed += 1;
         if view.bits() == EXACT_BITS {
             view.for_each_entry(cells, |id, bits| {
@@ -554,62 +568,79 @@ impl IqTree {
         }
     }
 
-    /// Degraded path for the k-NN search: the quantized (level-2) block of
-    /// page `p` could not be read or decoded. When the page has an exact
-    /// (level-3) region, answer from it directly — exact rows are
-    /// self-contained `(id, coords)` entries, so the page contributes at
-    /// full precision, just without approximation pruning. Pages quantized
-    /// at 32 bits have no level-3 backing; their points are reported lost.
-    fn fallback_page(
+    /// The level-2 read/decode step every query shares: validates page
+    /// `p`'s quantized block — `bytes` when a planned sweep already loaded
+    /// it, otherwise one retried read into `reread`. Returns `None` when
+    /// the block stays unreadable or its payload does not decode (damage
+    /// that slipped past the checksum layer, counted here in the clock's
+    /// corruption statistics); the caller then answers the page through
+    /// [`Self::visit_exact_region`].
+    fn view_page<'b>(
         &self,
         clock: &mut SimClock,
-        q: &[f32],
         p: usize,
-        st: &mut SearchState<'_>,
-        exec: &mut Executor,
-    ) {
+        bytes: Option<&'b [u8]>,
+        reread: &'b mut Vec<u8>,
+    ) -> Option<QuantPageView<'b>> {
+        let bytes = match bytes {
+            Some(b) => b,
+            None => {
+                let block = self.pages()[p].quant_block;
+                *reread =
+                    read_to_vec_retry(self.quant_dev(), clock, block, 1, self.retry()).ok()?;
+                reread
+            }
+        };
+        let view = self.codec().try_view(bytes);
+        if view.is_err() {
+            clock.note_corrupt_block();
+        }
+        view.ok()
+    }
+
+    /// The level-3 fallback every query shares, for a page whose quantized
+    /// block could not be read or decoded: its exact region holds
+    /// self-contained `(id, coords)` rows, so the page is answered at full
+    /// precision, just without approximation pruning. Charges one distance
+    /// evaluation per entry and query lane, and calls `visit` with each
+    /// entry that decodes. Returns how many entries did not, or `None` when
+    /// the page is lost — it has no level-3 backing (pages quantized at 32
+    /// bits) or its exact region stays unreadable.
+    fn visit_exact_region(
+        &self,
+        clock: &mut SimClock,
+        p: usize,
+        lanes: usize,
+        mut visit: impl FnMut(u32, &[f32]),
+    ) -> Option<u64> {
         clock.phase_begin(Phase::Refine);
         let meta = &self.pages()[p];
         if meta.g == EXACT_BITS || meta.exact_blocks == 0 {
-            exec.trace.pages_lost += 1;
-            return;
+            return None;
         }
-        let region = match self.try_read_exact_region(clock, p) {
-            Ok(r) => r,
-            Err(_) => {
-                // Both levels unreadable: the page really is gone.
-                exec.trace.pages_lost += 1;
-                return;
-            }
-        };
-        exec.trace.quant_fallbacks += 1;
-        exec.trace.pages_processed += 1;
-        let metric = self.metric();
-        let eb = self.exact_codec().entry_bytes();
-        clock.charge_dist_evals(self.dim(), u64::from(meta.count));
-        let filter = st.filter;
-        let coords = &mut st.coords;
-        coords.resize(self.dim(), 0.0);
+        let region = self.try_read_exact_region(clock, p).ok()?;
+        let codec = self.exact_codec();
+        let eb = codec.entry_bytes();
+        clock.charge_dist_evals(self.dim(), u64::from(meta.count) * lanes as u64);
+        let mut coords = vec![0.0f32; self.dim()];
+        let mut skipped = 0;
         for i in 0..meta.count as usize {
-            let Some(bytes) = region.get(i * eb..(i + 1) * eb) else {
-                exec.trace.points_skipped += 1;
-                continue;
-            };
-            match self.exact_codec().try_decode_entry_into(bytes, coords) {
-                Ok(id) => {
-                    if filter.is_none_or(|f| f.matches(id)) {
-                        exec.offer(metric.distance_key(coords, q), id);
-                    }
-                }
-                Err(_) => exec.trace.points_skipped += 1,
+            match region
+                .get(i * eb..(i + 1) * eb)
+                .map(|bytes| codec.try_decode_entry_into(bytes, &mut coords))
+            {
+                Some(Ok(id)) => visit(id, &coords),
+                _ => skipped += 1,
             }
         }
+        Some(skipped)
     }
 
     /// Exact k-NN for a micro-batch of queries in one shared page walk:
     /// every quantized page is read and decoded **once** and all queries
     /// are evaluated against it in a single pass through the multi-query
-    /// [`DistTableBlock`] SIMD kernels.
+    /// [`DistTableBlock`] SIMD kernels. Each query owns an [`Executor`]
+    /// holding its top-k and trace.
     ///
     /// Two phases:
     ///
@@ -677,12 +708,13 @@ impl IqTree {
             heap.push(Reverse((OrdKey(minkey), i as u32)));
         }
 
-        let mut topk: Vec<TopK> = (0..nq).map(|_| TopK::new(k)).collect();
+        let mut execs: Vec<Executor> = (0..nq)
+            .map(|_| Executor::new(metric, k, &QueryOptions::EXACT, clock))
+            .collect();
         let mut delta_heap: Vec<BinaryHeap<OrdKey>> = (0..nq).map(|_| BinaryHeap::new()).collect();
         let mut delta = vec![f64::INFINITY; nq];
         // Per-query refinement candidates: (lower-bound key, page, slot, id).
         let mut cands: Vec<Vec<(f64, u32, u32, u32)>> = (0..nq).map(|_| Vec::new()).collect();
-        let mut traces = vec![QueryTrace::default(); nq];
 
         // Reusable page-loop scratch.
         let mut block_table = DistTableBlock::new();
@@ -691,6 +723,7 @@ impl IqTree {
         let mut lo_keys: Vec<f64> = Vec::new();
         let mut hi_keys: Vec<f64> = Vec::new();
         let mut coords: Vec<f32> = Vec::new();
+        let mut reread: Vec<u8> = Vec::new();
         let mut active: Vec<usize> = Vec::new();
 
         while let Some(Reverse((OrdKey(minkey), pidx))) = heap.pop() {
@@ -715,43 +748,26 @@ impl IqTree {
                         .expect("keys are never NaN")
                 })
                 .expect("active is non-empty");
-            traces[owner].runs += 1;
+            execs[owner].trace.runs += 1;
             clock.phase_begin(Phase::Filter);
-            let block = self.pages()[p].quant_block;
-            let Ok(buf) = read_to_vec_retry(self.quant_dev(), clock, block, 1, self.retry()) else {
-                self.multi_fallback_page(
-                    clock,
-                    queries,
-                    p,
-                    &active,
-                    filter,
-                    &mut topk,
-                    &mut delta_heap,
-                    &mut delta,
-                    &mut traces,
-                    k,
-                );
-                continue;
-            };
-            let Ok(view) = self.codec().try_view(&buf) else {
-                clock.note_corrupt_block();
-                self.multi_fallback_page(
-                    clock,
-                    queries,
-                    p,
-                    &active,
-                    filter,
-                    &mut topk,
-                    &mut delta_heap,
-                    &mut delta,
-                    &mut traces,
-                    k,
-                );
+            let Some(view) = self.view_page(clock, p, None, &mut reread) else {
+                let skipped = self.visit_exact_region(clock, p, active.len(), |id, coords| {
+                    if filter.is_none_or(|f| f.matches(id)) {
+                        for &qi in &active {
+                            let key = metric.distance_key(coords, queries[qi]);
+                            note_bound(&mut delta_heap[qi], &mut delta[qi], k, key);
+                            execs[qi].offer(key, id);
+                        }
+                    }
+                });
+                for &qi in &active {
+                    note_fallback(&mut execs[qi].trace, skipped);
+                }
                 continue;
             };
             clock.charge_dist_evals(dim, view.len() as u64 * active.len() as u64);
             for &qi in &active {
-                traces[qi].pages_processed += 1;
+                execs[qi].trace.pages_processed += 1;
             }
             if view.bits() == EXACT_BITS {
                 view.for_each_entry(&mut cells, |id, bits| {
@@ -761,7 +777,7 @@ impl IqTree {
                         for &qi in &active {
                             let key = metric.distance_key(&coords, queries[qi]);
                             note_bound(&mut delta_heap[qi], &mut delta[qi], k, key);
-                            topk[qi].insert(key, id);
+                            execs[qi].offer(key, id);
                         }
                     }
                 });
@@ -782,7 +798,7 @@ impl IqTree {
                             for (ai, &qi) in active.iter().enumerate() {
                                 note_bound(&mut delta_heap[qi], &mut delta[qi], k, hi[ai]);
                                 if lo[ai] <= delta[qi] {
-                                    traces[qi].approx_enqueued += 1;
+                                    execs[qi].trace.approx_enqueued += 1;
                                     cands[qi].push((lo[ai], pidx, slot as u32, id));
                                 }
                             }
@@ -801,7 +817,7 @@ impl IqTree {
                         if filter.is_none_or(|f| f.matches(id)) {
                             note_bound(&mut delta_heap[qi], &mut delta[qi], k, hi);
                             if lo <= delta[qi] {
-                                traces[qi].approx_enqueued += 1;
+                                execs[qi].trace.approx_enqueued += 1;
                                 cands[qi].push((lo, pidx, slot as u32, id));
                             }
                         }
@@ -810,36 +826,36 @@ impl IqTree {
             }
         }
 
-        // Phase 2: per-query refinement with batch-shared exact reads.
+        // Phase 2: per-query refinement with batch-shared exact reads. An
+        // entry that stays unreadable is skipped, not refined (the
+        // executor counts it in `points_skipped`).
         clock.phase_begin(Phase::Refine);
         let mut cache: HashMap<(u32, u32), Option<Vec<f32>>> = HashMap::new();
-        let mut results = Vec::with_capacity(nq);
-        for (qi, mut top) in topk.into_iter().enumerate() {
-            let mut list = std::mem::take(&mut cands[qi]);
+        for ((exec, list), q) in execs.iter_mut().zip(&mut cands).zip(queries) {
             list.sort_by(|a, b| {
                 a.0.partial_cmp(&b.0)
                     .expect("keys are never NaN")
                     .then(a.3.cmp(&b.3))
             });
-            for &(lo, p, slot, id) in &list {
-                if top.len() == k && lo >= top.bound() {
+            for &(lo, p, slot, id) in list.iter() {
+                if exec.is_pruned(lo) {
                     break; // nothing after this lower bound can enter
                 }
-                let coords = cache.entry((p, slot)).or_insert_with(|| {
-                    self.try_read_exact_point(clock, p as usize, slot as usize)
-                        .ok()
+                exec.refine_with(clock, id, |clock| {
+                    let coords = cache
+                        .entry((p, slot))
+                        .or_insert_with(|| {
+                            self.try_read_exact_point(clock, p as usize, slot as usize)
+                                .ok()
+                        })
+                        .as_deref()?;
+                    clock.charge_dist_evals(dim, 1);
+                    Some(metric.distance_key(coords, q))
                 });
-                traces[qi].refinements += 1;
-                match coords {
-                    Some(c) => {
-                        clock.charge_dist_evals(dim, 1);
-                        top.insert(metric.distance_key(c, queries[qi]), id);
-                    }
-                    None => traces[qi].points_skipped += 1,
-                }
             }
-            results.push((top.into_results(metric), traces[qi]));
         }
+        let results: Vec<TracedResult> =
+            execs.into_iter().map(|e| e.into_results(metric)).collect();
         clock.phase_end();
         if clock.tracing() {
             // Per-query attribution: phase times above are shared across
@@ -860,129 +876,14 @@ impl IqTree {
         results
     }
 
-    /// Degraded path for the multi-query search: the quantized block of
-    /// page `p` could not be read or decoded, so every active query is
-    /// answered from the page's exact (level-3) region at full precision —
-    /// the batch analogue of [`Self::fallback_page`].
-    #[allow(clippy::too_many_arguments)]
-    fn multi_fallback_page(
-        &self,
-        clock: &mut SimClock,
-        queries: &[&[f32]],
-        p: usize,
-        active: &[usize],
-        filter: Option<&Filter>,
-        topk: &mut [TopK],
-        delta_heap: &mut [BinaryHeap<OrdKey>],
-        delta: &mut [f64],
-        traces: &mut [QueryTrace],
-        k: usize,
-    ) {
-        clock.phase_begin(Phase::Refine);
-        let meta = &self.pages()[p];
-        if meta.g == EXACT_BITS || meta.exact_blocks == 0 {
-            for &qi in active {
-                traces[qi].pages_lost += 1;
-            }
-            return;
-        }
-        let Ok(region) = self.try_read_exact_region(clock, p) else {
-            for &qi in active {
-                traces[qi].pages_lost += 1;
-            }
-            return;
-        };
-        let metric = self.metric();
-        let eb = self.exact_codec().entry_bytes();
-        clock.charge_dist_evals(self.dim(), u64::from(meta.count) * active.len() as u64);
-        let mut coords = vec![0.0f32; self.dim()];
-        for i in 0..meta.count as usize {
-            let Some(bytes) = region.get(i * eb..(i + 1) * eb) else {
-                for &qi in active {
-                    traces[qi].points_skipped += 1;
-                }
-                continue;
-            };
-            match self.exact_codec().try_decode_entry_into(bytes, &mut coords) {
-                Ok(id) => {
-                    if filter.is_none_or(|f| f.matches(id)) {
-                        for &qi in active {
-                            let key = metric.distance_key(&coords, queries[qi]);
-                            note_bound(&mut delta_heap[qi], &mut delta[qi], k, key);
-                            topk[qi].insert(key, id);
-                        }
-                    }
-                }
-                Err(_) => {
-                    for &qi in active {
-                        traces[qi].points_skipped += 1;
-                    }
-                }
-            }
-        }
-        for &qi in active {
-            traces[qi].quant_fallbacks += 1;
-            traces[qi].pages_processed += 1;
-        }
-    }
-
-    /// Level-3 fallback for window/range queries: pushes every id in page
-    /// `p`'s exact region whose coordinates satisfy `accept`. Silently
-    /// contributes nothing when the page has no (readable) exact backing —
-    /// the corruption is already visible in the clock's I/O statistics.
-    fn fallback_scan_exact(
-        &self,
-        clock: &mut SimClock,
-        p: usize,
-        out: &mut Vec<u32>,
-        mut accept: impl FnMut(&[f32]) -> bool,
-    ) {
-        let meta = &self.pages()[p];
-        if meta.g == EXACT_BITS || meta.exact_blocks == 0 {
-            return;
-        }
-        let Ok(region) = self.try_read_exact_region(clock, p) else {
-            return;
-        };
-        let eb = self.exact_codec().entry_bytes();
-        clock.charge_dist_evals(self.dim(), u64::from(meta.count));
-        let mut coords = vec![0.0f32; self.dim()];
-        for i in 0..meta.count as usize {
-            let Some(bytes) = region.get(i * eb..(i + 1) * eb) else {
-                continue;
-            };
-            if let Ok(id) = self.exact_codec().try_decode_entry_into(bytes, &mut coords) {
-                if accept(&coords) {
-                    out.push(id);
-                }
-            }
-        }
-    }
-
     /// Batch-refines a known set of `(page, slot, id)` candidates: plans
     /// one optimal fetch over all exact-file blocks involved (Section 2 —
-    /// the positions are known in advance), then verifies each point with
-    /// `accept`. Returns the accepted ids. If the planned sweep fails even
-    /// after retries, degrades to one retried read per candidate, skipping
-    /// entries that stay unreadable.
-    fn refine_batch(
-        &self,
-        clock: &mut SimClock,
-        refinements: &[(usize, usize, u32)],
-        mut accept: impl FnMut(&[f32]) -> bool,
-    ) -> Vec<u32> {
-        let mut out = Vec::new();
-        self.refine_batch_with(clock, refinements, |id, coords| {
-            if accept(coords) {
-                out.push(id);
-            }
-        });
-        out
-    }
-
-    /// Core of [`Self::refine_batch`]: plans the fetch, then calls `visit`
-    /// with each candidate's id and exact coordinates. Also the engine of
-    /// the `refine_factor` partial-refinement rerank in k-NN search.
+    /// the positions are known in advance), then calls `visit` with each
+    /// candidate's id and exact coordinates. If the planned sweep fails
+    /// even after retries, degrades to one retried read per candidate,
+    /// skipping entries that stay unreadable. The engine of `window`,
+    /// `range` and the `refine_factor` partial-refinement rerank in k-NN
+    /// search.
     fn refine_batch_with(
         &self,
         clock: &mut SimClock,
@@ -1005,54 +906,35 @@ impl IqTree {
         }
         positions.sort_unstable();
         positions.dedup();
-        let fetched = match self.retry().run(clock, |clock| {
-            fetch::fetch_blocks(self.exact_dev(), clock, &positions)
-        }) {
-            Ok(f) => f,
-            Err(_) => {
-                for &(page, slot, id) in refinements {
-                    if let Ok(coords) = self.try_read_exact_point(clock, page, slot) {
-                        clock.charge_dist_evals(self.dim(), 1);
-                        visit(id, &coords);
-                    }
-                }
-                return;
-            }
-        };
-        let block_bytes = |pos: u64| -> Option<&[u8]> {
-            let (run, buf) = fetched.iter().find(|(run, _)| run.contains(pos))?;
-            let off = ((pos - run.start) as usize) * bs;
-            buf.get(off..off + bs)
-        };
+        // A failed sweep leaves every candidate to its own retried read.
+        let fetched = self
+            .retry()
+            .run(clock, |clock| {
+                fetch::fetch_blocks(self.exact_dev(), clock, &positions)
+            })
+            .unwrap_or_default();
         let mut point_buf = vec![0u8; pb];
         let mut coords = vec![0.0f32; self.dim()];
         for &(page, slot, id) in refinements {
             let meta = &self.pages()[page];
             let (first, nblocks, byte_off) = self.exact_codec().entry_span(slot, bs);
-            // A block missing from the plan or a payload that fails to
-            // decode is corruption, not a crash: degrade that candidate to
-            // one retried single-block read, skipping it if it stays
-            // unreadable (the damage is visible in the clock statistics).
+            // Stitch the entry out of its planned block(s). A block missing
+            // from the plan or a payload that fails to decode is
+            // corruption, not a crash: degrade that candidate to one
+            // retried read, skipping it if it stays unreadable (the damage
+            // is visible in the clock statistics).
             let mut planned = true;
-            if nblocks == 1 {
-                match block_bytes(meta.exact_start + first) {
-                    Some(bytes) => point_buf.copy_from_slice(&bytes[byte_off..byte_off + pb]),
-                    None => planned = false,
-                }
-            } else {
-                // Straddles a block boundary: stitch.
-                let mut cursor = 0usize;
-                let mut off = byte_off;
-                for b in 0..nblocks {
-                    let Some(bytes) = block_bytes(meta.exact_start + first + b) else {
-                        planned = false;
-                        break;
-                    };
-                    let take = (bs - off).min(pb - cursor);
-                    point_buf[cursor..cursor + take].copy_from_slice(&bytes[off..off + take]);
-                    cursor += take;
-                    off = 0;
-                }
+            let (mut cursor, mut off) = (0usize, byte_off);
+            for b in 0..nblocks {
+                let Some(bytes) = fetch::fetched_block(&fetched, meta.exact_start + first + b, bs)
+                else {
+                    planned = false;
+                    break;
+                };
+                let take = (bs - off).min(pb - cursor);
+                point_buf[cursor..cursor + take].copy_from_slice(&bytes[off..off + take]);
+                cursor += take;
+                off = 0;
             }
             let decoded = planned
                 && self
@@ -1080,95 +962,19 @@ impl IqTree {
     /// Panics if the window's dimensionality mismatches.
     pub fn window(&self, clock: &mut SimClock, window: &iq_geometry::Mbr) -> Vec<u32> {
         assert_eq!(window.dim(), self.dim(), "window dimensionality mismatch");
-        if self.is_empty() {
-            return Vec::new();
-        }
-        clock.phase_begin(Phase::Directory);
-        self.charge_directory_scan(clock);
-        clock.phase_begin(Phase::Plan);
-        let candidates: Vec<usize> = self
-            .pages()
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| m.count > 0 && m.mbr.intersects(window))
-            .map(|(i, _)| i)
-            .collect();
-        let positions: Vec<u64> = candidates
-            .iter()
-            .map(|&i| self.pages()[i].quant_block)
-            .collect();
-        // A failed sweep (corrupt block in the plan) degrades to one
-        // retried read per page; a page whose block stays unreadable is
-        // answered from its exact region.
-        clock.phase_begin(Phase::Filter);
-        let fetched = self
-            .retry()
-            .run(clock, |clock| {
-                fetch::fetch_blocks(self.quant_dev(), clock, &positions)
-            })
-            .ok();
-        let bs = self.codec().block_size();
-        let mut out = Vec::new();
-        let mut refinements: Vec<(usize, usize, u32)> = Vec::new();
-        // Reusable per-query scratch: the page loop below is allocation-free
-        // in the steady state.
-        let mut cells: Vec<u32> = Vec::new();
-        let mut coords: Vec<f32> = Vec::new();
-        let mut flags: Vec<u8> = Vec::new();
-        let mut matches: Vec<CellMatch> = Vec::new();
         let mut wtable = WindowTable::new();
-        for &p in &candidates {
-            let block = self.pages()[p].quant_block;
-            // A candidate missing from the sweep (or a failed sweep) falls
-            // back to one retried read; a page whose block stays unreadable
-            // is answered from its exact region.
-            let planned = fetched.as_ref().and_then(|fetched| {
-                let (run, buf) = fetched.iter().find(|(run, _)| run.contains(block))?;
-                let off = ((block - run.start) as usize) * bs;
-                buf.get(off..off + bs)
-            });
-            let reread;
-            let bytes = match planned {
-                Some(b) => Some(b),
-                None => {
-                    reread = read_to_vec_retry(self.quant_dev(), clock, block, 1, self.retry());
-                    reread.as_deref().ok()
-                }
-            };
-            let Some(view) = bytes.and_then(|b| self.codec().try_view(b).ok()) else {
-                self.fallback_scan_exact(clock, p, &mut out, |coords| {
-                    window.contains_point(coords)
-                });
-                continue;
-            };
-            clock.charge_dist_evals(self.dim(), view.len() as u64);
-            if view.bits() == EXACT_BITS {
-                view.for_each_entry(&mut cells, |id, bits| {
-                    coords.clear();
-                    coords.extend(bits.iter().map(|&b| f32::from_bits(b)));
-                    if window.contains_point(&coords) {
-                        out.push(id);
-                    }
-                });
-            } else {
-                wtable.build(&self.pages()[p].mbr, view.bits(), window, view.len());
+        let mut flags: Vec<u8> = Vec::new();
+        self.planned_query(
+            clock,
+            |meta| meta.mbr.intersects(window),
+            |coords| window.contains_point(coords),
+            |meta, view, cells, matches| {
+                wtable.build(&meta.mbr, view.bits(), window, view.len());
                 // Whole-page classification through the SIMD flag-AND
                 // kernel — bit-identical to per-entry `classify`.
-                view.unpack_all(&mut cells);
-                wtable.classify_batch(&cells, &mut flags, &mut matches);
-                for (slot, &m) in matches.iter().enumerate() {
-                    match m {
-                        CellMatch::Disjoint => {}
-                        CellMatch::Inside => out.push(view.id(slot)),
-                        CellMatch::Partial => refinements.push((p, slot, view.id(slot))),
-                    }
-                }
-            }
-        }
-        clock.phase_begin(Phase::Refine);
-        out.extend(self.refine_batch(clock, &refinements, |coords| window.contains_point(coords)));
-        clock.phase_end();
-        out
+                wtable.classify_batch(cells, &mut flags, matches);
+            },
+        )
     }
 
     /// All points within `radius` of `q` (unordered ids).
@@ -1179,65 +985,96 @@ impl IqTree {
     /// the radius are accepted without refinement.
     pub fn range(&self, clock: &mut SimClock, q: &[f32], radius: f64) -> Vec<u32> {
         assert_eq!(q.len(), self.dim(), "query dimensionality mismatch");
+        let metric = self.metric();
+        let key_r = metric.distance_to_key(radius);
+        let mut table = DistTable::new();
+        let mut lo_keys: Vec<f64> = Vec::new();
+        let mut hi_keys: Vec<f64> = Vec::new();
+        self.planned_query(
+            clock,
+            |meta| metric.mindist_key(q, &meta.mbr) <= key_r,
+            |coords| metric.distance_key(coords, q) <= key_r,
+            |meta, view, cells, matches| {
+                table.build(&meta.mbr, view.bits(), metric, q, view.len());
+                // Batch fold: MINDIST and MAXDIST keys for the whole page
+                // in one SIMD pass. Both comparisons stay in the key
+                // domain, so a box accepted without refinement satisfies
+                // the same `distance_key <= key_r` predicate refinement
+                // would have checked.
+                table.bounds_keys(cells, &mut lo_keys, &mut hi_keys);
+                matches.clear();
+                matches.extend(lo_keys.iter().zip(&hi_keys).map(|(&lo, &hi)| {
+                    match (lo <= key_r, hi <= key_r) {
+                        (false, _) => CellMatch::Disjoint,
+                        (true, true) => CellMatch::Inside,
+                        (true, false) => CellMatch::Partial,
+                    }
+                }));
+            },
+        )
+    }
+
+    /// The shared body of [`IqTree::window`] and [`IqTree::range`], whose
+    /// candidate pages — the non-empty ones `select` keeps — are known up
+    /// front: one optimal batch fetch (Section 2, Figure 1) loads their
+    /// level-2 blocks, and each page goes through [`Self::view_page`] (a
+    /// block missing from the sweep is re-read once). Entries of exact
+    /// (g = 32) pages are tested with `accept` directly. For a quantized
+    /// page, `classify` sorts the unpacked cell boxes into `matches`:
+    /// inside boxes are accepted as they are, straddling ones are verified
+    /// with `accept` in one planned sweep over the exact file. A page that
+    /// cannot be read or decoded is answered from its exact region.
+    fn planned_query(
+        &self,
+        clock: &mut SimClock,
+        select: impl Fn(&PageMeta) -> bool,
+        accept: impl Fn(&[f32]) -> bool,
+        mut classify: impl FnMut(&PageMeta, &QuantPageView<'_>, &[u32], &mut Vec<CellMatch>),
+    ) -> Vec<u32> {
         if self.is_empty() {
             return Vec::new();
         }
         clock.phase_begin(Phase::Directory);
         self.charge_directory_scan(clock);
         clock.phase_begin(Phase::Plan);
-        let metric = self.metric();
-        let key_r = metric.distance_to_key(radius);
-
         let candidates: Vec<usize> = self
             .pages()
             .iter()
             .enumerate()
-            .filter(|(_, m)| m.count > 0 && metric.mindist_key(q, &m.mbr) <= key_r)
+            .filter(|(_, m)| m.count > 0 && select(m))
             .map(|(i, _)| i)
             .collect();
         let positions: Vec<u64> = candidates
             .iter()
             .map(|&i| self.pages()[i].quant_block)
             .collect();
-
-        let mut out = Vec::new();
-        let mut refinements: Vec<(usize, usize, u32)> = Vec::new(); // (page, slot, id)
         clock.phase_begin(Phase::Filter);
+        // A failed sweep leaves every page to its own retried read.
         let fetched = self
             .retry()
             .run(clock, |clock| {
                 fetch::fetch_blocks(self.quant_dev(), clock, &positions)
             })
-            .ok();
+            .unwrap_or_default();
         let bs = self.codec().block_size();
+        let mut out = Vec::new();
+        let mut refinements: Vec<(usize, usize, u32)> = Vec::new();
         // Reusable per-query scratch: the page loop below is allocation-free
         // in the steady state.
         let mut cells: Vec<u32> = Vec::new();
         let mut coords: Vec<f32> = Vec::new();
-        let mut lo_keys: Vec<f64> = Vec::new();
-        let mut hi_keys: Vec<f64> = Vec::new();
-        let mut table = DistTable::new();
+        let mut matches: Vec<CellMatch> = Vec::new();
+        let mut reread: Vec<u8> = Vec::new();
         for &p in &candidates {
-            let block = self.pages()[p].quant_block;
-            // Same degradation ladder as `window`: plan miss → single
-            // retried read → exact-region fallback.
-            let planned = fetched.as_ref().and_then(|fetched| {
-                let (run, buf) = fetched.iter().find(|(run, _)| run.contains(block))?;
-                let off = ((block - run.start) as usize) * bs;
-                buf.get(off..off + bs)
-            });
-            let reread;
-            let bytes = match planned {
-                Some(b) => Some(b),
-                None => {
-                    reread = read_to_vec_retry(self.quant_dev(), clock, block, 1, self.retry());
-                    reread.as_deref().ok()
-                }
-            };
-            let Some(view) = bytes.and_then(|b| self.codec().try_view(b).ok()) else {
-                self.fallback_scan_exact(clock, p, &mut out, |coords| {
-                    metric.distance_key(coords, q) <= key_r
+            let meta = &self.pages()[p];
+            let planned = fetch::fetched_block(&fetched, meta.quant_block, bs);
+            let Some(view) = self.view_page(clock, p, planned, &mut reread) else {
+                self.visit_exact_region(clock, p, 1, |id, coords| {
+                    if accept(coords) {
+                        out.push(id);
+                    }
                 });
+                clock.phase_begin(Phase::Filter);
                 continue;
             };
             clock.charge_dist_evals(self.dim(), view.len() as u64);
@@ -1245,34 +1082,28 @@ impl IqTree {
                 view.for_each_entry(&mut cells, |id, bits| {
                     coords.clear();
                     coords.extend(bits.iter().map(|&b| f32::from_bits(b)));
-                    if metric.distance_key(&coords, q) <= key_r {
+                    if accept(&coords) {
                         out.push(id);
                     }
                 });
-            } else {
-                table.build(&self.pages()[p].mbr, view.bits(), metric, q, view.len());
-                // Batch fold: MINDIST and MAXDIST keys for the whole page
-                // in one SIMD pass. Both comparisons stay in the key
-                // domain, so a box accepted without refinement satisfies
-                // the same `distance_key <= key_r` predicate refinement
-                // would have checked.
-                view.unpack_all(&mut cells);
-                table.bounds_keys(&cells, &mut lo_keys, &mut hi_keys);
-                for (slot, (&lo_key, &hi_key)) in lo_keys.iter().zip(&hi_keys).enumerate() {
-                    if lo_key <= key_r {
-                        if hi_key <= key_r {
-                            out.push(view.id(slot)); // box fully inside: no refinement
-                        } else {
-                            refinements.push((p, slot, view.id(slot)));
-                        }
-                    }
+                continue;
+            }
+            view.unpack_all(&mut cells);
+            classify(meta, &view, &cells, &mut matches);
+            for (slot, &m) in matches.iter().enumerate() {
+                match m {
+                    CellMatch::Disjoint => {}
+                    CellMatch::Inside => out.push(view.id(slot)),
+                    CellMatch::Partial => refinements.push((p, slot, view.id(slot))),
                 }
             }
         }
         clock.phase_begin(Phase::Refine);
-        out.extend(self.refine_batch(clock, &refinements, |coords| {
-            metric.distance_key(coords, q) <= key_r
-        }));
+        self.refine_batch_with(clock, &refinements, |id, coords| {
+            if accept(coords) {
+                out.push(id);
+            }
+        });
         clock.phase_end();
         out
     }
@@ -1744,6 +1575,76 @@ mod tests {
         for (got, _) in &multi {
             assert_eq!(got.len(), 60);
         }
+    }
+
+    /// A level-2 block whose checksum is valid but whose header does not
+    /// decode (resolution byte `g = 0`, written through the tree's own
+    /// checksummed device) degrades every query path the same way: each
+    /// answers the page from its exact level and counts the block in
+    /// `IoStats::corrupt_blocks` once.
+    #[test]
+    fn undecodable_quant_page_degrades_every_query_path() {
+        use iq_engine::AccessMethod;
+        use iq_storage::SimClock;
+        let ds = random_ds(1_500, 4, 41);
+        let (mut tree, mut clock) = build_tree(&ds, IqTreeOptions::default(), 512);
+        let meta = tree
+            .pages()
+            .iter()
+            .find(|m| m.g < 32 && m.exact_blocks > 0)
+            .expect("a quantized page")
+            .clone();
+        let mut block = tree
+            .quant_dev()
+            .read_to_vec(&mut clock, meta.quant_block, 1)
+            .expect("clean read");
+        block[2] = 0; // the header's resolution byte
+        tree.level_dev_mut(iq_wal::Level::Quant)
+            .write_blocks(&mut clock, meta.quant_block, &block)
+            .expect("checksummed write");
+
+        // Queries centred on the damaged page, so every path reads it.
+        let center: Vec<f32> = (0..4)
+            .map(|i| (meta.mbr.lb(i) + meta.mbr.ub(i)) / 2.0)
+            .collect();
+        let brute_set = |keep: &dyn Fn(&[f32]) -> bool| -> Vec<u32> {
+            (0..ds.len() as u32)
+                .filter(|&i| keep(ds.point(i as usize)))
+                .collect()
+        };
+        let sorted = |mut ids: Vec<u32>| {
+            ids.sort_unstable();
+            ids
+        };
+        let mut corrupt = Vec::new();
+
+        let mut c = SimClock::default();
+        let got = tree.knn(&mut c, &center, 10);
+        assert_eq!(canon(got), canon(brute_knn(&ds, &center, 10)));
+        corrupt.push(c.stats().corrupt_blocks);
+
+        let mut c = SimClock::default();
+        let queries = [center.as_slice(), &[0.5; 4]];
+        let multi =
+            tree.knn_multi_opts_traced(&mut c, &queries, 10, None, &iq_engine::QueryOptions::EXACT);
+        for (q, (got, _)) in queries.iter().zip(multi) {
+            assert_eq!(canon(got), canon(brute_knn(&ds, q, 10)));
+        }
+        corrupt.push(c.stats().corrupt_blocks);
+
+        let mut c = SimClock::default();
+        let got = sorted(tree.range(&mut c, &center, 0.2));
+        let m = Metric::Euclidean;
+        assert_eq!(got, brute_set(&|p| m.distance(p, &center) <= 0.2));
+        corrupt.push(c.stats().corrupt_blocks);
+
+        let mut c = SimClock::default();
+        let got = sorted(tree.window(&mut c, &meta.mbr));
+        assert_eq!(got, brute_set(&|p| meta.mbr.contains_point(p)));
+        corrupt.push(c.stats().corrupt_blocks);
+
+        assert!(corrupt[0] >= 1, "{corrupt:?}");
+        assert!(corrupt.iter().all(|&n| n == corrupt[0]), "{corrupt:?}");
     }
 
     #[test]

@@ -206,9 +206,10 @@ pub trait AccessMethod: Send + Sync {
 }
 
 /// Upper bound on the number of queries [`knn_batch`] hands to one
-/// [`AccessMethod::knn_multi_opts_traced`] call. Matches the lane budget of
-/// the quantize crate's multi-query distance tables (`MAX_BLOCK_QUERIES`):
-/// engines may assume micro-batches never exceed it.
+/// [`AccessMethod::knn_multi_opts_traced`] call. Stays within the lane
+/// budget of the quantize crate's multi-query distance tables
+/// (`MAX_BLOCK_QUERIES`), so engines may assume a micro-batch always fits
+/// one table.
 pub const MAX_MICRO_BATCH: usize = 8;
 
 /// Per-micro-batch outcome inside the batch executor: the traced results

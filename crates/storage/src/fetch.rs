@@ -118,6 +118,14 @@ pub fn fetch_blocks(
         .collect()
 }
 
+/// The bytes of block `pos` within runs returned by [`fetch_blocks`], or
+/// `None` when no run covers it.
+pub fn fetched_block(fetched: &[(Run, Vec<u8>)], pos: u64, block_size: usize) -> Option<&[u8]> {
+    let (run, buf) = fetched.iter().find(|(run, _)| run.contains(pos))?;
+    let off = ((pos - run.start) as usize) * block_size;
+    buf.get(off..off + block_size)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,5 +306,10 @@ mod tests {
         assert_eq!(fetched[1].0, Run { start: 18, len: 1 });
         assert_eq!(clock.stats().seeks, 2);
         assert_eq!(clock.stats().blocks_read, 3);
+        // Each selected block is found in its run; gaps are not.
+        for pos in [1u64, 2, 18] {
+            assert_eq!(fetched_block(&fetched, pos, 64), Some(&[pos as u8; 64][..]));
+        }
+        assert_eq!(fetched_block(&fetched, 3, 64), None);
     }
 }

@@ -461,23 +461,23 @@ impl XTree {
         let mut positions: Vec<u64> = pages.iter().map(|&id| self.pages[id as usize]).collect();
         positions.sort_unstable();
         positions.dedup();
-        let fetched = iq_storage::fetch::fetch_blocks(self.data.as_ref(), clock, &positions).ok();
+        let fetched = iq_storage::fetch::fetch_blocks(self.data.as_ref(), clock, &positions)
+            .unwrap_or_default();
         let bs = self.data.block_size();
         for &id in pages {
             let pos = self.pages[id as usize];
-            let planned: Option<Vec<u8>> = fetched.as_ref().and_then(|fetched| {
-                let (run, buf) = fetched.iter().find(|(run, _)| run.contains(pos))?;
-                let off = ((pos - run.start) as usize) * bs;
-                Some(buf[off..off + bs].to_vec())
-            });
-            let bytes = match planned {
+            let reread;
+            let bytes = match iq_storage::fetch::fetched_block(&fetched, pos, bs) {
                 Some(b) => b,
                 None => match self.data.read_to_vec(clock, pos, 1) {
-                    Ok(b) => b,
+                    Ok(b) => {
+                        reread = b;
+                        &reread
+                    }
                     Err(_) => continue,
                 },
             };
-            let page = DataPage::decode(&bytes, self.dim);
+            let page = DataPage::decode(bytes, self.dim);
             clock.charge_dist_evals(self.dim, page.len() as u64);
             visit(self.dim, &page);
         }

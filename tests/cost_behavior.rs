@@ -266,3 +266,197 @@ fn golden_schedule_is_bit_identical() {
     );
     assert_eq!(got, want);
 }
+
+/// Sums of the shared multi-query walk's simulated cost and counters.
+#[derive(Debug, PartialEq, Eq)]
+struct MultiSums {
+    total_time_bits: u64,
+    runs: u64,
+    pages_processed: u64,
+    refinements: u64,
+    approx_enqueued: u64,
+}
+
+/// Runs the workload's 64 exact k = 10 queries through the shared
+/// multi-query walk in micro-batches of 8, each batch on a fresh clock,
+/// and sums what the walk did.
+fn multi_sums(w: &Workload) -> MultiSums {
+    use iqtree_repro::engine::{AccessMethod, QueryOptions};
+    let mut clock = SimClock::default();
+    let tree = IqTree::build(
+        &w.db,
+        Metric::Euclidean,
+        IqTreeOptions::default(),
+        || dev(),
+        &mut clock,
+    );
+    let queries: Vec<&[f32]> = w.queries.iter().collect();
+    let mut total = 0.0f64;
+    let mut sums = MultiSums {
+        total_time_bits: 0,
+        runs: 0,
+        pages_processed: 0,
+        refinements: 0,
+        approx_enqueued: 0,
+    };
+    for batch in queries.chunks(8) {
+        clock.reset();
+        let out = tree.knn_multi_opts_traced(&mut clock, batch, 10, None, &QueryOptions::EXACT);
+        total += clock.total_time();
+        for (hits, trace) in &out {
+            assert_eq!(hits.len(), 10);
+            sums.runs += trace.runs;
+            sums.pages_processed += trace.pages_processed;
+            sums.refinements += trace.refinements;
+            sums.approx_enqueued += trace.approx_enqueued;
+        }
+    }
+    sums.total_time_bits = total.to_bits();
+    sums
+}
+
+/// Pins the shared multi-query page walk end to end on the schedule
+/// golden's two workloads. The constants were recorded before the walk
+/// moved onto per-query executors; the move must reproduce them bit for
+/// bit.
+#[test]
+fn golden_multi_query_walk_is_bit_identical() {
+    let cad = Workload::generate(20_000, 64, |n| data::cad_like(16, n, 77));
+    let uni = Workload::generate(4_000, 64, |n| data::uniform(16, n, 78));
+    let got = (multi_sums(&cad), multi_sums(&uni));
+    let want = (
+        MultiSums {
+            total_time_bits: 4622657220365946564,
+            runs: 227,
+            pages_processed: 446,
+            refinements: 919,
+            approx_enqueued: 13228,
+        },
+        MultiSums {
+            total_time_bits: 4620894659189861552,
+            runs: 128,
+            pages_processed: 1024,
+            refinements: 642,
+            approx_enqueued: 4543,
+        },
+    );
+    assert_eq!(got, want);
+}
+
+/// Summed simulated cost and a hash of the sorted answer sets of one
+/// batch of range or window queries.
+#[derive(Debug, PartialEq, Eq)]
+struct SetSums {
+    total_time_bits: u64,
+    ids: usize,
+    hash: u64,
+}
+
+/// Runs `query` for each of the first 32 workload queries on a fresh
+/// clock; folds every sorted id set into an FNV-1a hash.
+fn set_sums(w: &Workload, mut query: impl FnMut(&mut SimClock, &[f32]) -> Vec<u32>) -> SetSums {
+    let mut clock = SimClock::default();
+    let mut total = 0.0f64;
+    let mut sums = SetSums {
+        total_time_bits: 0,
+        ids: 0,
+        hash: 0xcbf2_9ce4_8422_2325,
+    };
+    for q in w.queries.iter().take(32) {
+        clock.reset();
+        let mut ids = query(&mut clock, q);
+        total += clock.total_time();
+        ids.sort_unstable();
+        sums.ids += ids.len();
+        for id in ids.into_iter().chain([u32::MAX]) {
+            for b in id.to_le_bytes() {
+                sums.hash = (sums.hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+    sums.total_time_bits = total.to_bits();
+    sums
+}
+
+/// The `n` brute-force nearest database points of `q`, nearest first.
+fn brute_nearest<'a>(w: &'a Workload, q: &[f32], n: usize) -> Vec<(f64, &'a [f32])> {
+    let mut all: Vec<(f64, &[f32])> =
+        w.db.iter()
+            .map(|p| (Metric::Euclidean.distance(p, q), p))
+            .collect();
+    all.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("no NaN"));
+    all.truncate(n);
+    all
+}
+
+/// Range (radius = the 20th-NN distance) and window (the bounding box of
+/// the 10 nearest points) sums over one workload.
+fn range_window_sums(w: &Workload) -> (SetSums, SetSums) {
+    let mut clock = SimClock::default();
+    let tree = IqTree::build(
+        &w.db,
+        Metric::Euclidean,
+        IqTreeOptions::default(),
+        || dev(),
+        &mut clock,
+    );
+    let range = set_sums(w, |clock, q| {
+        let radius = brute_nearest(w, q, 20)[19].0;
+        tree.range(clock, q, radius)
+    });
+    let window = set_sums(w, |clock, q| {
+        let near = brute_nearest(w, q, 10);
+        let dim = q.len();
+        let lb = (0..dim)
+            .map(|i| near.iter().map(|(_, p)| p[i]).fold(f32::INFINITY, f32::min))
+            .collect();
+        let ub = (0..dim)
+            .map(|i| {
+                near.iter()
+                    .map(|(_, p)| p[i])
+                    .fold(f32::NEG_INFINITY, f32::max)
+            })
+            .collect();
+        tree.window(clock, &iqtree_repro::geometry::Mbr::from_bounds(lb, ub))
+    });
+    (range, window)
+}
+
+/// Pins `range` and `window` end to end — the planned batch fetch, the
+/// level-2 classification and the batched refinement — on the schedule
+/// golden's two workloads. The constants were recorded before the two
+/// queries moved onto one shared planned-page visitor; the move must
+/// reproduce them bit for bit.
+#[test]
+fn golden_range_and_window_are_bit_identical() {
+    let cad = Workload::generate(20_000, 64, |n| data::cad_like(16, n, 77));
+    let uni = Workload::generate(4_000, 64, |n| data::uniform(16, n, 78));
+    let got = (range_window_sums(&cad), range_window_sums(&uni));
+    let want = (
+        (
+            SetSums {
+                total_time_bits: 4610388174689651980,
+                ids: 627,
+                hash: 6464843085084864746,
+            },
+            SetSums {
+                total_time_bits: 4610642285795026729,
+                ids: 322,
+                hash: 2225022451294251904,
+            },
+        ),
+        (
+            SetSums {
+                total_time_bits: 4610716267326825471,
+                ids: 628,
+                hash: 3544160927560002014,
+            },
+            SetSums {
+                total_time_bits: 4612622601417414680,
+                ids: 322,
+                hash: 13104764614426029588,
+            },
+        ),
+    );
+    assert_eq!(got, want);
+}

@@ -4,8 +4,12 @@
 //! path (a permanently corrupt quantized block degrades to the exact
 //! level, not to a panic or a wrong answer).
 
+mod common;
+
+use common::TempDir;
 use iqtree_repro::data::{self, Workload};
-use iqtree_repro::geometry::{Dataset, Metric};
+use iqtree_repro::engine::{AccessMethod, QueryOptions, TracedResult};
+use iqtree_repro::geometry::{Dataset, Mbr, Metric};
 use iqtree_repro::storage::{
     BlockDevice, FaultConfig, FaultInjectingDevice, FileDevice, MemWal, SimClock,
 };
@@ -13,22 +17,9 @@ use iqtree_repro::tree::verify::verify_index;
 use iqtree_repro::tree::{IqTree, IqTreeOptions};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 const FILES: [&str; 3] = ["dir.bin", "quant.bin", "exact.bin"];
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "iqtree-fault-{tag}-{}-{}",
-        std::process::id(),
-        std::thread::current()
-            .name()
-            .unwrap_or("t")
-            .replace("::", "-")
-    ));
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir
-}
 
 /// Builds an index over `ds` into three files under `dir` and drops it.
 fn build_files(dir: &Path, ds: &Dataset, block: usize) {
@@ -82,7 +73,7 @@ fn reopen(
 /// statistics prove faults actually fired.
 #[test]
 fn transient_faults_are_invisible_in_batch_results() {
-    let dir = temp_dir("transient");
+    let dir = TempDir::new("fault-transient");
     let w = Workload::generate(10_000, 32, |n| data::uniform(8, n, 2024));
     build_files(&dir, &w.db, 4096);
     let queries: Vec<Vec<f32>> = w.queries.iter().map(<[f32]>::to_vec).collect();
@@ -107,7 +98,6 @@ fn transient_faults_are_invisible_in_batch_results() {
     assert!(stats.injected_faults > 0, "no fault ever fired: {stats:?}");
     assert!(stats.io_retries > 0, "no retry ever ran: {stats:?}");
     assert_eq!(clean_clock.stats().injected_faults, 0);
-    std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
 /// One permanently corrupt quantized (level-2) block: full-result k-NN
@@ -115,7 +105,7 @@ fn transient_faults_are_invisible_in_batch_results() {
 /// page, and the corruption shows up in the trace and the I/O statistics.
 #[test]
 fn corrupt_quant_block_falls_back_to_exact_level() {
-    let dir = temp_dir("corrupt");
+    let dir = TempDir::new("fault-corrupt");
     let w = Workload::generate(3_000, 8, |n| data::uniform(6, n, 7));
     build_files(&dir, &w.db, 2048);
 
@@ -148,7 +138,165 @@ fn corrupt_quant_block_falls_back_to_exact_level() {
             assert!((got.1 - want.1).abs() < 1e-9);
         }
     }
-    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// Sorted ids of a few `range` and `window` queries around each of the
+/// first four workload queries, including a range and a window that cover
+/// the whole unit cube (so every page, a corrupt one too, is read).
+fn range_and_window_answers(
+    tree: &IqTree,
+    clock: &mut SimClock,
+    queries: &Dataset,
+) -> Vec<Vec<u32>> {
+    let mut out = Vec::new();
+    for q in queries.iter().take(4) {
+        for radius in [0.3, 0.6, 10.0] {
+            let mut ids = tree.range(clock, q, radius);
+            ids.sort_unstable();
+            out.push(ids);
+        }
+        for half in [0.2f32, 0.4, 10.0] {
+            let window = Mbr::from_bounds(
+                q.iter().map(|&x| x - half).collect(),
+                q.iter().map(|&x| x + half).collect(),
+            );
+            let mut ids = tree.window(clock, &window);
+            ids.sort_unstable();
+            out.push(ids);
+        }
+    }
+    out
+}
+
+/// The shared multi-query walk over the first eight workload queries as
+/// one micro-batch.
+fn multi_knn(
+    tree: &IqTree,
+    clock: &mut SimClock,
+    queries: &Dataset,
+    k: usize,
+) -> Vec<TracedResult> {
+    let refs: Vec<&[f32]> = queries.iter().take(8).collect();
+    tree.knn_multi_opts_traced(clock, &refs, k, None, &QueryOptions::EXACT)
+}
+
+/// One permanently corrupt quantized block degrades every query path the
+/// same way as single-query k-NN: the multi-query walk (through
+/// `knn_batch`), `range` and `window` answer the page from its exact
+/// level and return exactly what a clean tree returns.
+#[test]
+fn corrupt_quant_block_degrades_every_query_path_to_the_exact_level() {
+    let dir = TempDir::new("fault-corrupt-paths");
+    let w = Workload::generate(3_000, 8, |n| data::uniform(6, n, 7));
+    build_files(&dir, &w.db, 2048);
+    let (clean, mut clean_clock) = reopen(&dir, 2048, 6, |_, d| d);
+    let (tree, mut clock) = reopen(&dir, 2048, 6, |i, d| {
+        let f = FaultInjectingDevice::new(d, FaultConfig::none(3));
+        if i == 1 {
+            f.corrupt_block(0); // first quantized page, permanently
+        }
+        Box::new(f)
+    });
+    let queries: Vec<Vec<f32>> = w.queries.iter().map(<[f32]>::to_vec).collect();
+
+    // k = n: nothing is prunable, so every lane reads the corrupt page.
+    let k = tree.len();
+    assert_eq!(
+        tree.knn_batch(&mut clock, &queries, k, 2),
+        clean.knn_batch(&mut clean_clock, &queries, k, 2)
+    );
+    for (hits, trace) in multi_knn(&tree, &mut clock, &w.queries, k) {
+        assert_eq!(hits.len(), k);
+        assert!(trace.quant_fallbacks >= 1, "fallback never ran: {trace:?}");
+        assert_eq!(trace.pages_lost, 0, "exact level was available");
+        assert_eq!(trace.points_skipped, 0);
+    }
+
+    let before = clock.stats().corrupt_blocks;
+    assert_eq!(
+        range_and_window_answers(&tree, &mut clock, &w.queries),
+        range_and_window_answers(&clean, &mut clean_clock, &w.queries)
+    );
+    assert!(clock.stats().corrupt_blocks > before);
+}
+
+/// A page corrupt on both its quantized block and its exact region is
+/// lost: every query path completes without a panic on the remaining
+/// pages, and k-NN reports the loss in its trace.
+#[test]
+fn page_corrupt_on_both_levels_is_reported_lost_on_every_path() {
+    let dir = TempDir::new("fault-corrupt-both");
+    let w = Workload::generate(3_000, 8, |n| data::uniform(6, n, 7));
+    build_files(&dir, &w.db, 2048);
+    let (clean, mut clean_clock) = reopen(&dir, 2048, 6, |_, d| d);
+    let page = clean.pages()[0].clone();
+    let (tree, mut clock) = reopen(&dir, 2048, 6, |i, d| {
+        let f = FaultInjectingDevice::new(d, FaultConfig::none(3));
+        if i == 1 {
+            f.corrupt_block(page.quant_block);
+        }
+        if i == 2 {
+            for b in page.exact_start..page.exact_start + u64::from(page.exact_blocks) {
+                f.corrupt_block(b);
+            }
+        }
+        Box::new(f)
+    });
+
+    let k = tree.len();
+    for q in w.queries.iter().take(2) {
+        let (hits, trace) = tree.knn_traced(&mut clock, q, k);
+        assert!(trace.pages_lost >= 1, "loss not reported: {trace:?}");
+        assert_eq!(hits.len(), k - page.count as usize);
+    }
+    for (hits, trace) in multi_knn(&tree, &mut clock, &w.queries, k) {
+        assert!(trace.pages_lost >= 1, "loss not reported: {trace:?}");
+        assert_eq!(hits.len(), k - page.count as usize);
+    }
+    let got = range_and_window_answers(&tree, &mut clock, &w.queries);
+    let want = range_and_window_answers(&clean, &mut clean_clock, &w.queries);
+    for (got, want) in got.iter().zip(&want) {
+        assert!(got.iter().all(|id| want.binary_search(id).is_ok()));
+    }
+}
+
+/// Exact entries that stay unreadable are skipped points, not
+/// refinements: with every level-3 block corrupt, single-query k-NN, the
+/// multi-query walk and partial refinement all report zero refinements
+/// and count every failed exact read in `points_skipped`.
+#[test]
+fn unreadable_exact_entries_count_as_skipped_not_refined() {
+    let dir = TempDir::new("fault-corrupt-exact");
+    let w = Workload::generate(3_000, 8, |n| data::uniform(6, n, 7));
+    build_files(&dir, &w.db, 2048);
+    let exact_blocks = std::fs::metadata(dir.join(FILES[2])).expect("stat").len() / 2048;
+    let (tree, mut clock) = reopen(&dir, 2048, 6, |i, d| {
+        let f = FaultInjectingDevice::new(d, FaultConfig::none(3));
+        if i == 2 {
+            for b in 0..exact_blocks {
+                f.corrupt_block(b);
+            }
+        }
+        Box::new(f)
+    });
+
+    for q in w.queries.iter().take(2) {
+        let (_, trace) = tree.knn_traced(&mut clock, q, 10);
+        assert_eq!(trace.refinements, 0, "{trace:?}");
+        assert!(trace.points_skipped > 0, "{trace:?}");
+    }
+    for (_, trace) in multi_knn(&tree, &mut clock, &w.queries, 10) {
+        assert_eq!(trace.refinements, 0, "{trace:?}");
+        assert!(trace.points_skipped > 0, "{trace:?}");
+    }
+    // Partial refinement's batched rerank counts the same way.
+    let partial = QueryOptions {
+        refine_factor: 2,
+        ..QueryOptions::EXACT
+    };
+    let (_, trace) = tree.knn_opts_traced(&mut clock, w.queries.point(0), 10, None, &partial);
+    assert_eq!(trace.refinements, 0, "{trace:?}");
+    assert!(trace.points_skipped > 0, "{trace:?}");
 }
 
 /// A WAL-attached tree under transient read faults: logged inserts and
@@ -158,7 +306,7 @@ fn corrupt_quant_block_falls_back_to_exact_level() {
 /// script, while the I/O statistics prove faults really fired.
 #[test]
 fn logged_updates_interleaved_with_reads_absorb_transient_faults() {
-    let dir = temp_dir("wal-transient");
+    let dir = TempDir::new("fault-wal-transient");
     let ds = data::uniform(5, 4_000, 404);
     build_files(&dir, &ds, 2048);
     let queries: Vec<Vec<f32>> = data::uniform(5, 6, 405)
@@ -248,7 +396,6 @@ fn logged_updates_interleaved_with_reads_absorb_transient_faults() {
         faulty_tree.wal_bytes() > 0,
         "the workload's transactions are in the log"
     );
-    std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
 proptest! {
@@ -258,7 +405,7 @@ proptest! {
     /// by `verify_index`, which pinpoints exactly the corrupted block.
     #[test]
     fn prop_verify_pinpoints_any_corrupt_block(seed in 0u64..1_000, pick in 0usize..1_000) {
-        let dir = temp_dir(&format!("prop-{seed}-{pick}"));
+        let dir = TempDir::new(&format!("fault-prop-{seed}-{pick}"));
         let ds = data::uniform(4, 600, seed);
         build_files(&dir, &ds, 512);
 
@@ -312,6 +459,5 @@ proptest! {
             );
             prop_assert!(opened.is_err());
         }
-        std::fs::remove_dir_all(&dir).expect("cleanup");
-    }
+        }
 }

@@ -2,31 +2,20 @@
 //! in-memory devices — same results, same simulated costs (the clock, not
 //! the backend, is the source of truth for cost).
 
+mod common;
+
+use common::TempDir;
 use iqtree_repro::data::{self, Workload};
 use iqtree_repro::geometry::Metric;
 use iqtree_repro::storage::{
     BlockDevice, ChecksummedDevice, FileDevice, IqError, MemDevice, MmapFileDevice, SimClock,
 };
 use iqtree_repro::tree::{IqTree, IqTreeOptions};
-use std::path::PathBuf;
-
-fn temp_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "iqtree-file-backed-{}-{}",
-        std::process::id(),
-        std::thread::current()
-            .name()
-            .unwrap_or("t")
-            .replace("::", "-")
-    ));
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir
-}
 
 #[test]
 fn file_and_memory_backends_agree() {
     let w = Workload::generate(4_000, 6, |n| data::uniform(6, n, 17));
-    let dir = temp_dir();
+    let dir = TempDir::new("file-backed");
 
     let mut mem_clock = SimClock::default();
     let mem_tree = IqTree::build(
@@ -67,14 +56,12 @@ fn file_and_memory_backends_agree() {
         assert_eq!(mem_clock.io_time(), file_clock.io_time());
         assert_eq!(mem_clock.stats(), file_clock.stats());
     }
-
-    std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
 #[test]
 fn file_backed_updates_persist_within_session() {
     let w = Workload::generate(2_000, 2, |n| data::uniform(4, n, 23));
-    let dir = temp_dir();
+    let dir = TempDir::new("file-backed");
     let mut counter = 0;
     let mut clock = SimClock::default();
     let mut tree = IqTree::build(
@@ -97,7 +84,6 @@ fn file_backed_updates_persist_within_session() {
     assert!(tree.delete(&mut clock, 777_777, &p).unwrap());
     let (id2, _) = tree.nearest(&mut clock, &p).expect("non-empty");
     assert_ne!(id2, 777_777);
-    std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
 /// The ingestion path end to end: an fvecs dump whose length is not a
@@ -107,7 +93,7 @@ fn file_backed_updates_persist_within_session() {
 #[test]
 fn mmap_device_ingests_a_partial_final_block_fvecs_file() {
     let ds = data::cad_like(7, 123, 99); // 123 * (4 + 7*4) = 3936 bytes
-    let dir = temp_dir();
+    let dir = TempDir::new("file-backed");
     let path = dir.join("vectors.fvecs");
     data::write_fvecs(&path, &ds).expect("write fvecs");
 
@@ -132,7 +118,6 @@ fn mmap_device_ingests_a_partial_final_block_fvecs_file() {
     for i in 0..ds.len() {
         assert_eq!(decoded.point(i), ds.point(i), "point {i} round-trips");
     }
-    std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
 /// Reads take `&self`, so one device can serve many query threads at
@@ -140,7 +125,7 @@ fn mmap_device_ingests_a_partial_final_block_fvecs_file() {
 /// simulated cost as a single-threaded baseline.
 #[test]
 fn mmap_device_serves_concurrent_readers() {
-    let dir = temp_dir();
+    let dir = TempDir::new("file-backed");
     let path = dir.join("shared.bin");
     let data: Vec<u8> = (0..8192u32).map(|i| (i * 31 % 257) as u8).collect();
     std::fs::write(&path, &data).unwrap();
@@ -179,7 +164,6 @@ fn mmap_device_serves_concurrent_readers() {
             h.join().expect("reader thread panicked");
         }
     });
-    std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
 /// Checksum-layer compatibility: blocks written through a
@@ -188,7 +172,7 @@ fn mmap_device_serves_concurrent_readers() {
 /// same checksum layer — and a flipped bit on disk is caught, not served.
 #[test]
 fn mmap_device_is_compatible_with_the_checksum_layer() {
-    let dir = temp_dir();
+    let dir = TempDir::new("file-backed");
     let path = dir.join("summed.bin");
     let payload: Vec<u8> = (0..10_000u32).map(|i| (i % 253) as u8).collect();
 
@@ -229,5 +213,4 @@ fn mmap_device_is_compatible_with_the_checksum_layer() {
         Err(IqError::ChecksumMismatch { block: 0, .. }) => {}
         other => panic!("expected a checksum mismatch on block 0, got {other:?}"),
     }
-    std::fs::remove_dir_all(&dir).expect("cleanup");
 }
