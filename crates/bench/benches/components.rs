@@ -179,7 +179,7 @@ fn bench_cache(c: &mut Criterion) {
 }
 
 fn bench_nn_query(c: &mut Criterion) {
-    use iq_tree::{IqTree, IqTreeOptions};
+    use iq_tree::{AccessMethod, IqTree, IqTreeOptions};
     let ds = iq_data::uniform(16, 50_000, 9);
     let mut clock = SimClock::default();
     let tree = IqTree::build(

@@ -10,7 +10,7 @@ use iq_bench::{Config, DataKind};
 use iq_geometry::Metric;
 use iq_scan::SeqScan;
 use iq_storage::{MemDevice, SimClock};
-use iq_tree::{IqTree, IqTreeOptions};
+use iq_tree::{AccessMethod, IqTree, IqTreeOptions};
 use iq_vafile::VaFile;
 use iq_xtree::{XTree, XTreeOptions};
 use std::hint::black_box;

@@ -20,7 +20,7 @@ use crate::{measure, Config, DataKind, Table};
 use iq_cost::refine::RefineParams;
 use iq_geometry::{volume, Metric};
 use iq_storage::{MemDevice, SimClock};
-use iq_tree::{IqTree, IqTreeOptions};
+use iq_tree::{AccessMethod, IqTree, IqTreeOptions};
 use iq_vafile::VaFile;
 use iq_xtree::{XTree, XTreeOptions};
 

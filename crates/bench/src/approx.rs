@@ -7,7 +7,7 @@
 
 use crate::{estimate_fractal, Config};
 use iq_data::Workload;
-use iq_engine::{AccessMethod, QueryOptions};
+use iq_engine::{AccessMethod, PageSpec, QueryOptions};
 use iq_geometry::Metric;
 use iq_tree::{IqTree, IqTreeOptions};
 use iq_vafile::VaFile;
@@ -48,15 +48,14 @@ fn ground_truth(w: &Workload, metric: Metric) -> Vec<HashSet<u32>> {
     w.queries
         .iter()
         .map(|q| {
-            let mut all: Vec<(u32, f64)> = (0..w.db.len())
+            let all = (0..w.db.len())
                 .map(|i| (i as u32, metric.distance(w.db.point(i), q)))
                 .collect();
-            all.sort_by(|a, b| {
-                a.1.partial_cmp(&b.1)
-                    .expect("no NaN distances")
-                    .then(a.0.cmp(&b.0))
-            });
-            all.iter().take(K).map(|&(id, _)| id).collect()
+            PageSpec::top(K)
+                .slice(all)
+                .into_iter()
+                .map(|(id, _)| id)
+                .collect()
         })
         .collect()
 }

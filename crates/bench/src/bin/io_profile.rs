@@ -5,7 +5,7 @@
 use iq_bench::{measure, Config, DataKind};
 use iq_geometry::Metric;
 use iq_storage::{MemDevice, SimClock};
-use iq_tree::{IqTree, IqTreeOptions};
+use iq_tree::{AccessMethod, IqTree, IqTreeOptions};
 use iq_xtree::{XTree, XTreeOptions};
 
 fn main() {

@@ -30,6 +30,8 @@ pub mod verify;
 use build::{optimize_partitions, OptimizeTrace, SolutionPage};
 pub use durability::RecoveryReport;
 use iq_cost::{DirectoryParams, RefineParams};
+/// Every query on an [`IqTree`] goes through this trait.
+pub use iq_engine::AccessMethod;
 use iq_geometry::{bulk_partition, Dataset, Mbr, Metric};
 use iq_quantize::{ExactPageCodec, QuantizedPageCodec, EXACT_BITS};
 use iq_storage::{read_to_vec_retry, BlockDevice, DeviceStack, IqResult, RetryPolicy, SimClock};
@@ -57,10 +59,6 @@ pub struct IqTreeOptions {
     /// default retries a few times with exponential backoff;
     /// [`RetryPolicy::none`] makes any fault surface immediately.
     pub retry: RetryPolicy,
-    /// Threads for the CPU-bound page-encoding stage of construction
-    /// (`0` = one per available core). Output bytes are identical for every
-    /// value — parallelism changes build wall-clock, never the index.
-    pub build_threads: usize,
 }
 
 impl Default for IqTreeOptions {
@@ -71,7 +69,6 @@ impl Default for IqTreeOptions {
             fractal_dim: None,
             cache_blocks: None,
             retry: RetryPolicy::default(),
-            build_threads: 0,
         }
     }
 }
@@ -141,7 +138,7 @@ pub struct PageMeta {
 /// ```
 /// use iq_geometry::{Dataset, Metric};
 /// use iq_storage::{MemDevice, SimClock};
-/// use iq_tree::{IqTree, IqTreeOptions};
+/// use iq_tree::{AccessMethod, IqTree, IqTreeOptions};
 ///
 /// // A toy 2-d data set.
 /// let ds = Dataset::from_flat(2, (0..200).map(|i| i as f32 / 200.0).collect());
@@ -311,17 +308,10 @@ impl IqTree {
         solution: Vec<SolutionPage>,
         clock: &mut SimClock,
     ) {
-        // Encode all pages in parallel (pure CPU work), then append the
-        // results to the level files strictly in page order — the device
-        // images are byte-for-byte those of a sequential build.
-        let encoded = build::encode_pages(
-            ds,
-            id_map,
-            &solution,
-            &self.codec,
-            &self.exact_codec,
-            self.opts.build_threads,
-        );
+        // Encode all pages on one thread per core (pure CPU work), then
+        // append the results to the level files strictly in page order —
+        // the device images are byte-for-byte those of a sequential build.
+        let encoded = build::encode_pages(ds, id_map, &solution, &self.codec, &self.exact_codec, 0);
         for (page, enc) in solution.into_iter().zip(encoded) {
             let quant_block = self
                 .quant

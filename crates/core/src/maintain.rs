@@ -97,7 +97,7 @@ impl IqTree {
 #[cfg(test)]
 mod tests {
     use crate::tests::{build_tree, random_ds};
-    use crate::IqTreeOptions;
+    use crate::{AccessMethod, IqTreeOptions};
     use iq_storage::MemDevice;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 

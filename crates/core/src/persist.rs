@@ -415,6 +415,7 @@ impl IqTree {
 mod tests {
     use super::*;
     use crate::tests::random_ds;
+    use crate::AccessMethod;
     use iq_storage::FileDevice;
     use std::path::PathBuf;
 

@@ -18,8 +18,8 @@
 use crate::{IqTree, PageMeta};
 use iq_cost::access_prob::access_probability;
 use iq_engine::{
-    drive, query_span_begin, query_span_end, AccessMethod, CandidateHeap, Executor, Filter, OrdKey,
-    QueryOptions, TracedResult,
+    drive, knn_each_traced, query_span_begin, query_span_end, AccessMethod, CandidateHeap,
+    Executor, Filter, OrdKey, PageSpec, QueryOptions, QueryTrace, TracedResult,
 };
 use iq_obs::{CostPrediction, Phase};
 use iq_quantize::{
@@ -28,12 +28,6 @@ use iq_quantize::{
 use iq_storage::{fetch, read_to_vec_retry, SimClock};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
-
-/// What a nearest-neighbor query actually did — returned by
-/// [`IqTree::knn_traced`] for inspection, tuning and tests. The type lives
-/// in `iq-engine` so every access method reports work in the same shape;
-/// re-exported here for backward compatibility.
-pub use iq_engine::QueryTrace;
 
 /// Folds one entry's MAXDIST key into a query's running bound δ: the
 /// bounded max-heap holds the `k` smallest MAXDIST keys seen so far, whose
@@ -109,64 +103,45 @@ struct SearchState<'f> {
     keys: Vec<f64>,
 }
 
-impl IqTree {
-    /// Exact nearest neighbor of `q`, as `(id, distance)`.
-    pub fn nearest(&self, clock: &mut SimClock, q: &[f32]) -> Option<(u32, f64)> {
-        self.knn(clock, q, 1).pop()
+/// The IQ-tree's queries: callable through `&dyn AccessMethod` alongside
+/// the scan, VA-file and X-tree baselines, and the only way to query it.
+impl AccessMethod for IqTree {
+    fn name(&self) -> &'static str {
+        "iqtree"
     }
 
-    /// The `k` exact nearest neighbors of `q`, ordered by increasing
-    /// distance.
-    ///
-    /// Queries take `&self`: any number of threads may search one tree
-    /// concurrently, each with its own [`SimClock`] (the clock models one
-    /// disk arm, so it is inherently per-query state). See
-    /// [`IqTree::knn_batch`] for a ready-made parallel executor.
-    pub fn knn(&self, clock: &mut SimClock, q: &[f32], k: usize) -> Vec<(u32, f64)> {
-        self.knn_traced(clock, q, k).0
+    fn dim(&self) -> usize {
+        IqTree::dim(self)
     }
 
-    /// Answers every query in `queries` with a `k`-NN search, fanning the
-    /// batch out over `threads` OS threads that share `self`.
-    ///
-    /// Delegates to the engine-layer executor [`iq_engine::knn_batch`],
-    /// which works over any [`AccessMethod`]: each query runs against a
-    /// fresh clone of `clock` (reset to zero), so per-query costs are
-    /// charged exactly as in a serial cold run; the per-query clocks are
-    /// then folded back into `clock` in query order via
-    /// [`SimClock::absorb`]. Results and accumulated statistics are
-    /// therefore identical for every thread count, including `1`.
-    pub fn knn_batch(
-        &self,
-        clock: &mut SimClock,
-        queries: &[Vec<f32>],
-        k: usize,
-        threads: usize,
-    ) -> Vec<Vec<(u32, f64)>> {
-        iq_engine::knn_batch(self, clock, queries, k, threads)
+    fn len(&self) -> usize {
+        IqTree::len(self)
     }
 
-    /// Like [`IqTree::knn`], additionally returning a [`QueryTrace`] of
-    /// what the search did.
-    pub fn knn_traced(
-        &self,
-        clock: &mut SimClock,
-        q: &[f32],
-        k: usize,
-    ) -> (Vec<(u32, f64)>, QueryTrace) {
-        self.knn_traced_impl(clock, q, k, None, &QueryOptions::EXACT)
+    fn metric(&self) -> iq_geometry::Metric {
+        IqTree::metric(self)
     }
 
-    /// Shared search core; a pushed-down `filter` drops non-matching points
-    /// at page-decode time (level 2), so they never enter the priority list
-    /// and are never refined, and `k` counts post-filter results.
+    /// The IQ-tree's one k-NN search. A pushed-down `filter` drops
+    /// non-matching points at page-decode time (level 2), so they never
+    /// enter the priority list and are never refined, and `k` counts
+    /// post-filter results.
     ///
     /// The IQ-tree is a *producer* into the engine-layer [`drive`] loop:
     /// pages and point approximations enter the shared candidate heap, the
     /// executor owns pruning and every approximation knob. Under `opts`,
     /// `nprobes` caps the number of quantized data pages decoded and
     /// `refine_factor` caps exact-point look-ups at `k × refine_factor`.
-    fn knn_traced_impl(
+    ///
+    /// The [`QueryTrace`] counts what the search did: `runs` are the
+    /// sweeps over the quantized file (one per scheduled run of pages,
+    /// Section 2.1, or one per page without scheduled I/O),
+    /// `pages_processed` the level-2 pages decoded, `pages_skipped` the
+    /// pages loaded as run filler but pruned, `approx_enqueued` the point
+    /// approximations entering the priority list and `refinements` the
+    /// exact-point reads at level 3; `quant_fallbacks`, `pages_lost` and
+    /// `points_skipped` record how corrupt blocks degraded the search.
+    fn knn_opts_traced(
         &self,
         clock: &mut SimClock,
         q: &[f32],
@@ -318,17 +293,103 @@ impl IqTree {
         trace.refinements += refined;
         trace.points_skipped += batch.len() as u64 - refined;
         clock.phase_begin(Phase::TopK);
-        rerank.sort_by(|a, b| {
-            a.1.partial_cmp(&b.1)
-                .expect("distances are never NaN")
-                .then(a.0.cmp(&b.0))
-        });
-        rerank.truncate(k);
+        let rerank = PageSpec::top(k).slice(rerank);
         clock.phase_end();
         query_span_end(clock, &trace);
         (rerank, trace)
     }
 
+    /// Micro-batches route into the shared multi-query page walk — each
+    /// level-2 page is read and decoded once for the whole batch — when
+    /// the search is exact and the batch fits the block-table lane budget.
+    /// Approximate searches (the knobs are per-query semantics a shared
+    /// walk cannot honor) and degenerate batches take the per-query path.
+    fn knn_multi_opts_traced(
+        &self,
+        clock: &mut SimClock,
+        queries: &[&[f32]],
+        k: usize,
+        filter: Option<&Filter>,
+        opts: &QueryOptions,
+    ) -> Vec<TracedResult> {
+        if opts.is_exact() && queries.len() > 1 && queries.len() <= MAX_BLOCK_QUERIES {
+            return self.knn_multi_traced_impl(clock, queries, k, filter);
+        }
+        knn_each_traced(self, clock, queries, k, filter, opts)
+    }
+
+    /// All points within `radius` of `q` (unordered ids).
+    ///
+    /// The set of candidate pages is known up front, so the optimal batch
+    /// fetch of Section 2 (Figure 1) loads them with the minimal
+    /// seek/over-read schedule. Points whose cell box lies entirely within
+    /// the radius are accepted without refinement.
+    fn range(&self, clock: &mut SimClock, q: &[f32], radius: f64) -> Vec<u32> {
+        assert_eq!(q.len(), self.dim(), "query dimensionality mismatch");
+        let metric = self.metric();
+        let key_r = metric.distance_to_key(radius);
+        let mut table = DistTable::new();
+        let mut lo_keys: Vec<f64> = Vec::new();
+        let mut hi_keys: Vec<f64> = Vec::new();
+        self.planned_query(
+            clock,
+            |meta| metric.mindist_key(q, &meta.mbr) <= key_r,
+            |coords| metric.distance_key(coords, q) <= key_r,
+            |meta, view, cells, matches| {
+                table.build(&meta.mbr, view.bits(), metric, q, view.len());
+                // Batch fold: MINDIST and MAXDIST keys for the whole page
+                // in one SIMD pass. Both comparisons stay in the key
+                // domain, so a box accepted without refinement satisfies
+                // the same `distance_key <= key_r` predicate refinement
+                // would have checked.
+                table.bounds_keys(cells, &mut lo_keys, &mut hi_keys);
+                matches.clear();
+                matches.extend(lo_keys.iter().zip(&hi_keys).map(|(&lo, &hi)| {
+                    match (lo <= key_r, hi <= key_r) {
+                        (false, _) => CellMatch::Disjoint,
+                        (true, true) => CellMatch::Inside,
+                        (true, false) => CellMatch::Partial,
+                    }
+                }));
+            },
+        )
+    }
+
+    /// All points inside the query window (unordered ids) — the paper's
+    /// Section 2 case where the page set is known in advance: candidate
+    /// pages are exactly those whose MBR intersects the window, loaded with
+    /// the optimal batch-fetch schedule of Figure 1. A point is refined
+    /// only when its cell box straddles the window boundary.
+    ///
+    /// # Panics
+    /// Panics if the window's dimensionality mismatches.
+    fn window(&self, clock: &mut SimClock, window: &iq_geometry::Mbr) -> Vec<u32> {
+        assert_eq!(window.dim(), self.dim(), "window dimensionality mismatch");
+        let mut wtable = WindowTable::new();
+        let mut flags: Vec<u8> = Vec::new();
+        self.planned_query(
+            clock,
+            |meta| meta.mbr.intersects(window),
+            |coords| window.contains_point(coords),
+            |meta, view, cells, matches| {
+                wtable.build(&meta.mbr, view.bits(), window, view.len());
+                // Whole-page classification through the SIMD flag-AND
+                // kernel — bit-identical to per-entry `classify`.
+                wtable.classify_batch(cells, &mut flags, matches);
+            },
+        )
+    }
+
+    /// The trait has no disk handle, so the prediction prices I/O on the
+    /// default [`iq_storage::DiskModel`] — the model every [`SimClock`] in
+    /// the workspace defaults to. Callers with a custom disk should use
+    /// [`IqTree::predict_knn_cost_opts`] directly.
+    fn cost_prediction(&self, k: usize, opts: &QueryOptions) -> Option<CostPrediction> {
+        Some(self.predict_knn_cost_opts(&iq_storage::DiskModel::default(), k, opts))
+    }
+}
+
+impl IqTree {
     /// Loads exactly one page (the "standard NN search" ablation, and the
     /// degraded path when a sweep fails). Each page read consumes one unit
     /// of the `nprobes` budget; once spent, the page is scheduled away
@@ -659,10 +720,9 @@ impl IqTree {
     ///    `(page, slot)` cache, so a point refined for several queries is
     ///    fetched once.
     ///
-    /// Results are exact for every query (same guarantee as
-    /// [`IqTree::knn`]; ids at tied distances may differ). Corrupt pages
-    /// degrade through the exact region exactly as in the single-query
-    /// path.
+    /// Results are exact for every query (the single-query search's
+    /// guarantee; ids at tied distances may differ). Corrupt pages degrade
+    /// through the exact region exactly as in the single-query path.
     fn knn_multi_traced_impl(
         &self,
         clock: &mut SimClock,
@@ -952,69 +1012,7 @@ impl IqTree {
         }
     }
 
-    /// All points inside the query window (unordered ids) — the paper's
-    /// Section 2 case where the page set is known in advance: candidate
-    /// pages are exactly those whose MBR intersects the window, loaded with
-    /// the optimal batch-fetch schedule of Figure 1. A point is refined
-    /// only when its cell box straddles the window boundary.
-    ///
-    /// # Panics
-    /// Panics if the window's dimensionality mismatches.
-    pub fn window(&self, clock: &mut SimClock, window: &iq_geometry::Mbr) -> Vec<u32> {
-        assert_eq!(window.dim(), self.dim(), "window dimensionality mismatch");
-        let mut wtable = WindowTable::new();
-        let mut flags: Vec<u8> = Vec::new();
-        self.planned_query(
-            clock,
-            |meta| meta.mbr.intersects(window),
-            |coords| window.contains_point(coords),
-            |meta, view, cells, matches| {
-                wtable.build(&meta.mbr, view.bits(), window, view.len());
-                // Whole-page classification through the SIMD flag-AND
-                // kernel — bit-identical to per-entry `classify`.
-                wtable.classify_batch(cells, &mut flags, matches);
-            },
-        )
-    }
-
-    /// All points within `radius` of `q` (unordered ids).
-    ///
-    /// The set of candidate pages is known up front, so the optimal batch
-    /// fetch of Section 2 (Figure 1) loads them with the minimal
-    /// seek/over-read schedule. Points whose cell box lies entirely within
-    /// the radius are accepted without refinement.
-    pub fn range(&self, clock: &mut SimClock, q: &[f32], radius: f64) -> Vec<u32> {
-        assert_eq!(q.len(), self.dim(), "query dimensionality mismatch");
-        let metric = self.metric();
-        let key_r = metric.distance_to_key(radius);
-        let mut table = DistTable::new();
-        let mut lo_keys: Vec<f64> = Vec::new();
-        let mut hi_keys: Vec<f64> = Vec::new();
-        self.planned_query(
-            clock,
-            |meta| metric.mindist_key(q, &meta.mbr) <= key_r,
-            |coords| metric.distance_key(coords, q) <= key_r,
-            |meta, view, cells, matches| {
-                table.build(&meta.mbr, view.bits(), metric, q, view.len());
-                // Batch fold: MINDIST and MAXDIST keys for the whole page
-                // in one SIMD pass. Both comparisons stay in the key
-                // domain, so a box accepted without refinement satisfies
-                // the same `distance_key <= key_r` predicate refinement
-                // would have checked.
-                table.bounds_keys(cells, &mut lo_keys, &mut hi_keys);
-                matches.clear();
-                matches.extend(lo_keys.iter().zip(&hi_keys).map(|(&lo, &hi)| {
-                    match (lo <= key_r, hi <= key_r) {
-                        (false, _) => CellMatch::Disjoint,
-                        (true, true) => CellMatch::Inside,
-                        (true, false) => CellMatch::Partial,
-                    }
-                }));
-            },
-        )
-    }
-
-    /// The shared body of [`IqTree::window`] and [`IqTree::range`], whose
+    /// The shared body of the IQ-tree's `window` and `range`, whose
     /// candidate pages — the non-empty ones `select` keeps — are known up
     /// front: one optimal batch fetch (Section 2, Figure 1) loads their
     /// level-2 blocks, and each page goes through [`Self::view_page`] (a
@@ -1168,87 +1166,10 @@ impl IqTree {
     }
 }
 
-/// The IQ-tree behind the engine-layer query trait: the same searches the
-/// inherent methods expose, callable through `&dyn AccessMethod` alongside
-/// the scan, VA-file and X-tree baselines.
-impl AccessMethod for IqTree {
-    fn name(&self) -> &'static str {
-        "iqtree"
-    }
-
-    fn dim(&self) -> usize {
-        IqTree::dim(self)
-    }
-
-    fn len(&self) -> usize {
-        IqTree::len(self)
-    }
-
-    fn metric(&self) -> iq_geometry::Metric {
-        IqTree::metric(self)
-    }
-
-    fn knn_opts_traced(
-        &self,
-        clock: &mut SimClock,
-        q: &[f32],
-        k: usize,
-        filter: Option<&Filter>,
-        opts: &QueryOptions,
-    ) -> (Vec<(u32, f64)>, QueryTrace) {
-        // True pushdown into the level-2 filter phase — no top-up rounds.
-        self.knn_traced_impl(clock, q, k, filter, opts)
-    }
-
-    /// Micro-batches route into the shared multi-query page walk — each
-    /// level-2 page is read and decoded once for the whole batch — when
-    /// the search is exact and the batch fits the block-table lane budget.
-    /// Approximate searches (the knobs are per-query semantics a shared
-    /// walk cannot honor) and degenerate batches take the per-query path.
-    fn knn_multi_opts_traced(
-        &self,
-        clock: &mut SimClock,
-        queries: &[&[f32]],
-        k: usize,
-        filter: Option<&Filter>,
-        opts: &QueryOptions,
-    ) -> Vec<TracedResult> {
-        if opts.is_exact() && queries.len() > 1 && queries.len() <= MAX_BLOCK_QUERIES {
-            return self.knn_multi_traced_impl(clock, queries, k, filter);
-        }
-        queries
-            .iter()
-            .map(|q| {
-                let mut c = clock.clone();
-                c.reset();
-                let out = self.knn_opts_traced(&mut c, q, k, filter, opts);
-                clock.absorb(&c);
-                out
-            })
-            .collect()
-    }
-
-    fn range(&self, clock: &mut SimClock, q: &[f32], radius: f64) -> Vec<u32> {
-        IqTree::range(self, clock, q, radius)
-    }
-
-    fn window(&self, clock: &mut SimClock, window: &iq_geometry::Mbr) -> Vec<u32> {
-        IqTree::window(self, clock, window)
-    }
-
-    /// The trait has no disk handle, so the prediction prices I/O on the
-    /// default [`iq_storage::DiskModel`] — the model every [`SimClock`] in
-    /// the workspace defaults to. Callers with a custom disk should use
-    /// [`IqTree::predict_knn_cost_opts`] directly.
-    fn cost_prediction(&self, k: usize, opts: &QueryOptions) -> Option<CostPrediction> {
-        Some(self.predict_knn_cost_opts(&iq_storage::DiskModel::default(), k, opts))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use crate::tests::{build_tree, random_ds};
-    use crate::IqTreeOptions;
+    use crate::{AccessMethod, IqTreeOptions};
     use iq_geometry::{Dataset, Metric};
     use rand::{rngs::StdRng, Rng, SeedableRng};
 

@@ -14,7 +14,7 @@
 use iq_geometry::{Dataset, Metric};
 use iq_obs::CostAudit;
 use iq_storage::{CpuModel, DiskModel, MemDevice, SimClock};
-use iq_tree::{IqTree, IqTreeOptions};
+use iq_tree::{AccessMethod, IqTree, IqTreeOptions};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// Documented tolerance: observed mean within a factor 3 of the predicted

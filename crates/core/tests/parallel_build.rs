@@ -1,61 +1,17 @@
-//! Property: the parallel build pipeline is byte-for-byte deterministic.
+//! Property: the parallel page encoder is byte-for-byte deterministic.
 //!
 //! `encode_pages` stamps each quantization job with its page index and
-//! merges results in order, so the raw device images of all three levels
-//! (directory, quantized, exact) must be identical no matter how many
-//! worker threads encoded the pages — including `build_threads: 0`
-//! (one per core), whatever this machine's core count happens to be.
+//! merges results in order, so the level-2 and level-3 page images must be
+//! identical no matter how many worker threads encoded the pages —
+//! including `threads = 0` (one per core, what `IqTree::build` uses),
+//! whatever this machine's core count happens to be.
 
-use iq_geometry::{Dataset, Metric};
-use iq_storage::{BlockDevice, IqResult, MemDevice, SimClock};
-use iq_tree::{IqTree, IqTreeOptions};
+use iq_cost::{DirectoryParams, RefineParams};
+use iq_geometry::{bulk_partition, Dataset, Metric};
+use iq_quantize::{ExactPageCodec, QuantizedPageCodec};
+use iq_storage::DiskModel;
+use iq_tree::build::{encode_pages, optimize_partitions, EncodedPage, SolutionPage};
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use std::cell::RefCell;
-use std::sync::{Arc, Mutex};
-
-/// A MemDevice behind a shared handle, so the test keeps access to the raw
-/// (physical) blocks after handing the device to the tree.
-#[derive(Clone)]
-struct SharedDev(Arc<Mutex<MemDevice>>);
-
-impl SharedDev {
-    fn new(bs: usize) -> Self {
-        Self(Arc::new(Mutex::new(MemDevice::new(bs))))
-    }
-
-    fn image(&self) -> Vec<u8> {
-        let mut clock = SimClock::default();
-        let nb = self.num_blocks();
-        if nb == 0 {
-            return Vec::new();
-        }
-        self.read_to_vec(&mut clock, 0, nb).expect("read image")
-    }
-}
-
-impl BlockDevice for SharedDev {
-    fn block_size(&self) -> usize {
-        self.0.lock().expect("lock").block_size()
-    }
-    fn num_blocks(&self) -> u64 {
-        self.0.lock().expect("lock").num_blocks()
-    }
-    fn read_blocks(&self, clock: &mut SimClock, start: u64, buf: &mut [u8]) -> IqResult<()> {
-        self.0.lock().expect("lock").read_blocks(clock, start, buf)
-    }
-    fn append(&mut self, clock: &mut SimClock, data: &[u8]) -> IqResult<u64> {
-        self.0.lock().expect("lock").append(clock, data)
-    }
-    fn write_blocks(&mut self, clock: &mut SimClock, start: u64, data: &[u8]) -> IqResult<()> {
-        self.0
-            .lock()
-            .expect("lock")
-            .write_blocks(clock, start, data)
-    }
-    fn device_id(&self) -> u64 {
-        self.0.lock().expect("lock").device_id()
-    }
-}
 
 fn random_ds(n: usize, dim: usize, seed: u64) -> Dataset {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -68,43 +24,53 @@ fn random_ds(n: usize, dim: usize, seed: u64) -> Dataset {
     ds
 }
 
-/// Builds an index with the given worker count and returns the raw images
-/// of the three level devices.
-fn build_images(n: usize, dim: usize, bs: usize, threads: usize) -> Vec<Vec<u8>> {
-    let ds = random_ds(n, dim, 77);
-    let mut clock = SimClock::default();
-    let handles: RefCell<Vec<SharedDev>> = RefCell::new(Vec::new());
-    let opts = IqTreeOptions {
-        build_threads: threads,
-        ..IqTreeOptions::default()
-    };
-    let tree = IqTree::build(
-        &ds,
-        Metric::Euclidean,
-        opts,
-        || {
-            let dev = SharedDev::new(bs);
-            handles.borrow_mut().push(dev.clone());
-            Box::new(dev) as Box<dyn BlockDevice>
-        },
-        &mut clock,
-    );
-    assert!(tree.num_pages() > 1, "want a multi-page build");
-    drop(tree);
-    handles.into_inner().iter().map(SharedDev::image).collect()
+/// The page solution `IqTree::build` would write for `ds` at block size
+/// `bs`: the initial bulk partitioning refined by the optimal-quantization
+/// algorithm.
+fn solution(ds: &Dataset, bs: usize) -> Vec<SolutionPage> {
+    let (dim, metric) = (ds.dim(), Metric::Euclidean);
+    let codec = QuantizedPageCodec::new(dim, bs);
+    let refine = RefineParams::fractal(metric, dim, dim as f64, ds.len());
+    let dir = DirectoryParams::new(metric, dim, dim as f64, ds.len());
+    let initial = bulk_partition(ds, codec.capacity(1));
+    optimize_partitions(
+        ds,
+        &codec,
+        &refine,
+        &dir,
+        &DiskModel::default(),
+        initial,
+        true,
+    )
+    .0
+}
+
+fn images(pages: &[EncodedPage]) -> Vec<(&[u8], &[u8])> {
+    pages
+        .iter()
+        .map(|p| (p.quant.as_slice(), p.exact.as_slice()))
+        .collect()
 }
 
 #[test]
 fn parallel_build_is_byte_identical_to_sequential() {
-    let seq = build_images(2_000, 6, 512, 1);
-    assert_eq!(seq.len(), 3, "directory, quantized, exact");
-    for threads in [0usize, 2, 4, 8] {
-        let par = build_images(2_000, 6, 512, threads);
-        assert_eq!(par.len(), seq.len());
-        for (level, (a, b)) in seq.iter().zip(&par).enumerate() {
-            assert_eq!(
-                a, b,
-                "level {level} image differs with build_threads = {threads}"
+    let (dim, bs) = (6, 512);
+    let ds = random_ds(2_000, dim, 77);
+    let pages = solution(&ds, bs);
+    assert!(pages.len() > 1, "want a multi-page build");
+    let codec = QuantizedPageCodec::new(dim, bs);
+    let exact_codec = ExactPageCodec::new(dim);
+    // Identity ids, and external ids as `IqTree::rebuild` passes them.
+    let renamed: Vec<u32> = (0..ds.len() as u32).rev().collect();
+    for id_map in [None, Some(renamed.as_slice())] {
+        let seq = encode_pages(&ds, id_map, &pages, &codec, &exact_codec, 1);
+        assert_eq!(seq.len(), pages.len());
+        for threads in [1usize, 2, 4, 8, 0] {
+            let par = encode_pages(&ds, id_map, &pages, &codec, &exact_codec, threads);
+            assert!(
+                images(&par) == images(&seq),
+                "page images differ with threads = {threads} (external ids: {})",
+                id_map.is_some()
             );
         }
     }

@@ -4,7 +4,7 @@
 
 use iq_geometry::{Dataset, Metric};
 use iq_storage::{MemDevice, SimClock};
-use iq_tree::{IqTree, IqTreeOptions};
+use iq_tree::{AccessMethod, IqTree, IqTreeOptions};
 use proptest::prelude::*;
 
 fn dataset_strategy(dim: usize, max_n: usize) -> impl Strategy<Value = Dataset> {

@@ -110,36 +110,39 @@ pub struct PageSpec {
 }
 
 impl PageSpec {
-    /// Plain top-k: no offset, no limit.
+    /// Plain top-k: the first `k` rows.
     pub fn top(k: usize) -> Self {
         Self {
             k,
             offset: 0,
-            limit: None,
+            limit: Some(k),
         }
+    }
+
+    /// The one order-and-slice rule of every paginated answer: orders
+    /// `hits` canonically (ascending distance, ties by ascending id —
+    /// engines may break exact-distance ties differently, so pagination
+    /// must not depend on their internal order), then keeps
+    /// `[offset, offset + limit)`.
+    pub fn slice(&self, mut hits: Vec<(u32, f64)>) -> Vec<(u32, f64)> {
+        hits.sort_by(|a, b| {
+            a.1.partial_cmp(&b.1)
+                .expect("no NaN distances")
+                .then(a.0.cmp(&b.0))
+        });
+        hits.into_iter()
+            .skip(self.offset)
+            .take(self.limit.unwrap_or(usize::MAX))
+            .collect()
     }
 }
 
-/// The `page.k` exact post-filter nearest neighbors of `q`, canonically
-/// ordered (ascending distance, ties by ascending id — engines may break
-/// exact-distance ties differently, so pagination must not depend on their
-/// internal order), sliced to `[offset, offset + limit)`.
+/// The `page.k` post-filter nearest neighbors of `q` under `opts`, sliced
+/// by [`PageSpec::slice`]. The computed `page.k`-list is whatever the
+/// (possibly approximate) search returns, canonically re-ordered — so
+/// re-running the same `(q, k, filter, opts)` yields the same list and
+/// disjoint `offset` windows tile it without overlap or gaps.
 pub fn knn_paginated<M: AccessMethod + ?Sized>(
-    method: &M,
-    clock: &mut SimClock,
-    q: &[f32],
-    filter: Option<&Filter>,
-    page: &PageSpec,
-) -> Vec<(u32, f64)> {
-    knn_paginated_opts(method, clock, q, filter, page, &QueryOptions::EXACT)
-}
-
-/// [`knn_paginated`] under explicit approximation [`QueryOptions`]. The
-/// computed `page.k`-list is whatever the (possibly approximate) search
-/// returns, canonically re-ordered — so re-running the same
-/// `(q, k, filter, opts)` still yields the same list and disjoint
-/// `offset` windows still tile it without overlap or gaps.
-pub fn knn_paginated_opts<M: AccessMethod + ?Sized>(
     method: &M,
     clock: &mut SimClock,
     q: &[f32],
@@ -147,16 +150,7 @@ pub fn knn_paginated_opts<M: AccessMethod + ?Sized>(
     page: &PageSpec,
     opts: &QueryOptions,
 ) -> Vec<(u32, f64)> {
-    let mut hits = method.knn_opts(clock, q, page.k, filter, opts);
-    hits.sort_by(|a, b| {
-        a.1.partial_cmp(&b.1)
-            .expect("no NaN distances")
-            .then(a.0.cmp(&b.0))
-    });
-    hits.into_iter()
-        .skip(page.offset)
-        .take(page.limit.unwrap_or(usize::MAX))
-        .collect()
+    page.slice(method.knn_opts_traced(clock, q, page.k, filter, opts).0)
 }
 
 #[cfg(test)]

@@ -14,9 +14,17 @@
 //!   [`drive`], [`refine_ascending`]) and the [`QueryOptions`]
 //!   approximation knobs (ε, `nprobes`, `refine_factor`, time budget),
 //!   implemented once for all engines,
-//! * [`knn_batch`] — the deterministic multi-threaded batch executor
-//!   (results and accumulated clock statistics are identical for every
-//!   thread count, including 1).
+//! * [`knn_batch_opts_traced`] — the deterministic multi-threaded batch
+//!   executor (results and accumulated clock statistics are identical for
+//!   every thread count, including 1), with [`knn_batch`] its exact,
+//!   untraced shorthand,
+//! * [`knn_paginated`] — `offset`/`limit` pagination over the canonically
+//!   ordered result ([`PageSpec::slice`]).
+//!
+//! Those three functions and the trait are the whole query surface:
+//! engines define no inherent query methods of their own.
+//! [`knn_each_traced`] is the implementor's helper behind the default
+//! micro-batch path.
 
 pub mod executor;
 mod filter;
@@ -27,7 +35,7 @@ pub use executor::{
     drive, query_span_begin, query_span_end, refine_ascending, CandidateHeap, Executor, OrdKey,
     QueryOptions,
 };
-pub use filter::{knn_paginated, knn_paginated_opts, Filter, PageSpec};
+pub use filter::{knn_paginated, Filter, PageSpec};
 pub use topk::TopK;
 pub use trace::QueryTrace;
 
@@ -97,18 +105,6 @@ pub trait AccessMethod: Send + Sync {
         opts: &QueryOptions,
     ) -> (Vec<(u32, f64)>, QueryTrace);
 
-    /// Like [`AccessMethod::knn_opts_traced`], without the trace.
-    fn knn_opts(
-        &self,
-        clock: &mut SimClock,
-        q: &[f32],
-        k: usize,
-        filter: Option<&Filter>,
-        opts: &QueryOptions,
-    ) -> Vec<(u32, f64)> {
-        self.knn_opts_traced(clock, q, k, filter, opts).0
-    }
-
     /// Like [`AccessMethod::knn`], additionally returning a
     /// [`QueryTrace`] of what the search did. Methods without a
     /// filter-and-refine structure report the fields that apply to them
@@ -122,19 +118,8 @@ pub trait AccessMethod: Send + Sync {
         self.knn_opts_traced(clock, q, k, None, &QueryOptions::EXACT)
     }
 
-    /// Exact filtered k-NN with a trace: [`AccessMethod::knn_opts_traced`]
-    /// under default (exact) options.
-    fn knn_filtered_traced(
-        &self,
-        clock: &mut SimClock,
-        q: &[f32],
-        k: usize,
-        filter: Option<&Filter>,
-    ) -> (Vec<(u32, f64)>, QueryTrace) {
-        self.knn_opts_traced(clock, q, k, filter, &QueryOptions::EXACT)
-    }
-
-    /// Like [`AccessMethod::knn_filtered_traced`], without the trace.
+    /// Exact filtered k-NN: [`AccessMethod::knn_opts_traced`] under
+    /// default (exact) options, without the trace.
     fn knn_filtered(
         &self,
         clock: &mut SimClock,
@@ -142,7 +127,8 @@ pub trait AccessMethod: Send + Sync {
         k: usize,
         filter: Option<&Filter>,
     ) -> Vec<(u32, f64)> {
-        self.knn_filtered_traced(clock, q, k, filter).0
+        self.knn_opts_traced(clock, q, k, filter, &QueryOptions::EXACT)
+            .0
     }
 
     /// Answers a micro-batch of queries sharing this index in one call:
@@ -151,9 +137,10 @@ pub trait AccessMethod: Send + Sync {
     /// what [`AccessMethod::knn_opts_traced`] would return, in query
     /// order.
     ///
-    /// The default runs the queries one by one, each against a fresh
-    /// reset clone of `clock` absorbed back in query order, so batch
-    /// accounting is identical to a serial cold run. Engines with a
+    /// The default, [`knn_each_traced`], runs the queries one by one,
+    /// each against a fresh reset clone of `clock` absorbed back in query
+    /// order, so batch accounting is identical to a serial cold run.
+    /// Engines with a
     /// quantized-domain representation override this to amortize work
     /// across the batch — the IQ-tree evaluates all queries against each
     /// decoded level-2 page in a single pass via the `DistTableBlock`
@@ -162,7 +149,8 @@ pub trait AccessMethod: Send + Sync {
     /// legitimately drop: one page read serves the whole batch).
     ///
     /// Callers must keep micro-batches at or below
-    /// [`MAX_MICRO_BATCH`]; [`knn_batch`] does this automatically.
+    /// [`MAX_MICRO_BATCH`]; [`knn_batch_opts_traced`] does this
+    /// automatically.
     fn knn_multi_opts_traced(
         &self,
         clock: &mut SimClock,
@@ -171,16 +159,7 @@ pub trait AccessMethod: Send + Sync {
         filter: Option<&Filter>,
         opts: &QueryOptions,
     ) -> Vec<TracedResult> {
-        queries
-            .iter()
-            .map(|q| {
-                let mut c = clock.clone();
-                c.reset();
-                let out = self.knn_opts_traced(&mut c, q, k, filter, opts);
-                clock.absorb(&c);
-                out
-            })
-            .collect()
+        knn_each_traced(self, clock, queries, k, filter, opts)
     }
 
     /// All points within `radius` of `q` under the index metric
@@ -217,17 +196,12 @@ pub const MAX_MICRO_BATCH: usize = 8;
 type BatchSlot = Option<(Vec<TracedResult>, SimClock)>;
 
 /// One query's `(results, trace)` pair as returned by
-/// [`knn_batch_traced`].
+/// [`knn_batch_opts_traced`].
 pub type TracedResult = (Vec<(u32, f64)>, QueryTrace);
 
-/// Answers every query in `queries` with a `k`-NN search against `method`,
-/// fanning the batch out over `threads` OS threads that share the index.
-///
-/// Each query runs against a fresh clone of `clock` (reset to zero), so
-/// per-query costs are charged exactly as in a serial cold run; the
-/// per-query clocks are then folded back into `clock` in query order via
-/// [`SimClock::absorb`]. Results and accumulated statistics are therefore
-/// identical for every thread count, including `1`.
+/// Answers every query in `queries` with an exact `k`-NN search against
+/// `method`, fanning the batch out over `threads` OS threads that share
+/// the index: [`knn_batch_opts_traced`] without filter, knobs or traces.
 pub fn knn_batch<M: AccessMethod + ?Sized>(
     method: &M,
     clock: &mut SimClock,
@@ -235,25 +209,6 @@ pub fn knn_batch<M: AccessMethod + ?Sized>(
     k: usize,
     threads: usize,
 ) -> Vec<Vec<(u32, f64)>> {
-    knn_batch_traced(method, clock, queries, k, threads)
-        .0
-        .into_iter()
-        .map(|(res, _)| res)
-        .collect()
-}
-
-/// Like [`knn_batch`], but keeps the work reports: returns each query's
-/// `(results, trace)` in query order plus the aggregate of all traces
-/// (per-field sums via [`QueryTrace::merge`]). Determinism is the same as
-/// [`knn_batch`]: results, traces and clock statistics are identical for
-/// every thread count.
-pub fn knn_batch_traced<M: AccessMethod + ?Sized>(
-    method: &M,
-    clock: &mut SimClock,
-    queries: &[Vec<f32>],
-    k: usize,
-    threads: usize,
-) -> (Vec<TracedResult>, QueryTrace) {
     knn_batch_opts_traced(
         method,
         clock,
@@ -263,16 +218,53 @@ pub fn knn_batch_traced<M: AccessMethod + ?Sized>(
         None,
         &QueryOptions::EXACT,
     )
+    .0
+    .into_iter()
+    .map(|(res, _)| res)
+    .collect()
 }
 
-/// The full batch entry point: queries are grouped into micro-batches of
-/// at most [`MAX_MICRO_BATCH`] (in query order) and each micro-batch runs
+/// Answers a micro-batch one query at a time through
+/// [`AccessMethod::knn_opts_traced`], each against a fresh reset clone of
+/// `clock` absorbed back in query order, so batch accounting is identical
+/// to a serial cold run. This is the default
+/// [`AccessMethod::knn_multi_opts_traced`], and the fallback of engines
+/// whose override cannot serve a batch in one shared pass.
+pub fn knn_each_traced<M: AccessMethod + ?Sized>(
+    method: &M,
+    clock: &mut SimClock,
+    queries: &[&[f32]],
+    k: usize,
+    filter: Option<&Filter>,
+    opts: &QueryOptions,
+) -> Vec<TracedResult> {
+    queries
+        .iter()
+        .map(|q| {
+            let mut c = clock.clone();
+            c.reset();
+            let out = method.knn_opts_traced(&mut c, q, k, filter, opts);
+            clock.absorb(&c);
+            out
+        })
+        .collect()
+}
+
+/// The batch entry point: queries are grouped into micro-batches of at
+/// most [`MAX_MICRO_BATCH`] (in query order) and each micro-batch runs
 /// [`AccessMethod::knn_multi_opts_traced`] with the same `filter` and
 /// approximation `opts`, micro-batches fanned out over `threads` OS
-/// threads. Clock accounting and determinism are as in [`knn_batch`] —
-/// micro-batch formation and the per-micro-batch simulated clocks (and
-/// thus any `time_budget` deadline, which is per-query) are independent
-/// of the thread count.
+/// threads. Returns each query's `(results, trace)` in query order plus
+/// the aggregate of all traces (per-field sums via
+/// [`QueryTrace::merge`]).
+///
+/// Each micro-batch runs against a fresh clone of `clock` (reset to
+/// zero); the per-micro-batch clocks are then folded back into `clock` in
+/// query order via [`SimClock::absorb`]. Micro-batch formation and the
+/// per-micro-batch simulated clocks (and thus any `time_budget` deadline,
+/// which is per-query) are independent of the thread count, so results,
+/// traces and clock statistics are identical for every thread count,
+/// including `1`.
 pub fn knn_batch_opts_traced<M: AccessMethod + ?Sized>(
     method: &M,
     clock: &mut SimClock,
@@ -412,7 +404,8 @@ mod tests {
         let m = flat(100);
         let queries: Vec<Vec<f32>> = (0..9).map(|i| vec![i as f32, i as f32]).collect();
         let mut c1 = SimClock::default();
-        let (per_query, agg) = knn_batch_traced(&m, &mut c1, &queries, 4, 1);
+        let (per_query, agg) =
+            knn_batch_opts_traced(&m, &mut c1, &queries, 4, 1, None, &QueryOptions::EXACT);
         assert_eq!(per_query.len(), queries.len());
         let mut expect = QueryTrace::default();
         for (res, trace) in &per_query {
@@ -424,7 +417,8 @@ mod tests {
         assert_eq!(agg, expect, "aggregate is the per-field sum");
         for threads in [2, 5] {
             let mut c = SimClock::default();
-            let (pq, a) = knn_batch_traced(&m, &mut c, &queries, 4, threads);
+            let (pq, a) =
+                knn_batch_opts_traced(&m, &mut c, &queries, 4, threads, None, &QueryOptions::EXACT);
             assert_eq!(pq, per_query, "{threads} threads");
             assert_eq!(a, agg, "{threads} threads");
             assert_eq!(c.stats(), c1.stats(), "{threads} threads");
@@ -555,7 +549,8 @@ mod tests {
         let mut clock = SimClock::default();
         let f = Filter::from_fn(120, |id| id % 3 != 0);
         let q = vec![31.0f32, 77.0];
-        let full = knn_paginated(&m, &mut clock, &q, Some(&f), &PageSpec::top(20));
+        let exact = &QueryOptions::EXACT;
+        let full = knn_paginated(&m, &mut clock, &q, Some(&f), &PageSpec::top(20), exact);
         assert_eq!(full.len(), 20);
         // Disjoint offset windows tile the full list exactly.
         let mut stitched = Vec::new();
@@ -570,6 +565,7 @@ mod tests {
                     offset,
                     limit: Some(7),
                 },
+                exact,
             );
             stitched.extend(page);
         }
@@ -585,6 +581,7 @@ mod tests {
                 offset: 25,
                 limit: None,
             },
+            exact,
         );
         assert!(past.is_empty());
     }

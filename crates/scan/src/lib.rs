@@ -24,6 +24,7 @@ const SCAN_CHUNK_BLOCKS: u64 = 256;
 /// ```
 /// use iq_geometry::{Dataset, Metric};
 /// use iq_storage::{MemDevice, SimClock};
+/// use iq_engine::AccessMethod;
 /// use iq_scan::SeqScan;
 ///
 /// let ds = Dataset::from_flat(2, vec![0.1, 0.1, 0.9, 0.9]);
@@ -166,57 +167,6 @@ impl SeqScan {
         );
         (u64::from(id), block)
     }
-
-    /// Exact nearest neighbor of `q`, as `(id, distance)`.
-    pub fn nearest(&self, clock: &mut SimClock, q: &[f32]) -> Option<(u32, f64)> {
-        self.knn(clock, q, 1).pop()
-    }
-
-    /// The `k` nearest neighbors of `q`, ordered by increasing distance.
-    pub fn knn(&self, clock: &mut SimClock, q: &[f32], k: usize) -> Vec<(u32, f64)> {
-        AccessMethod::knn_opts_traced(self, clock, q, k, None, &QueryOptions::EXACT).0
-    }
-
-    /// The `k` nearest neighbors of `q` among the points matching
-    /// `filter`: the same single sweep, with non-matching points dropped
-    /// before their distance is evaluated. The result is the filter-then-
-    /// scan oracle the other engines' filtered searches are tested
-    /// against.
-    pub fn knn_filtered(
-        &self,
-        clock: &mut SimClock,
-        q: &[f32],
-        k: usize,
-        filter: &Filter,
-    ) -> Vec<(u32, f64)> {
-        AccessMethod::knn_opts_traced(self, clock, q, k, Some(filter), &QueryOptions::EXACT).0
-    }
-
-    /// All points inside the query window (unordered ids).
-    pub fn window(&self, clock: &mut SimClock, window: &iq_geometry::Mbr) -> Vec<u32> {
-        assert_eq!(window.dim(), self.dim, "window dimensionality mismatch");
-        let mut out = Vec::new();
-        self.scan(clock, |id, p| {
-            if window.contains_point(p) {
-                out.push(id);
-            }
-        });
-        out
-    }
-
-    /// All points within `radius` of `q`, as ids (unordered).
-    pub fn range(&self, clock: &mut SimClock, q: &[f32], radius: f64) -> Vec<u32> {
-        assert_eq!(q.len(), self.dim);
-        let metric = self.metric;
-        let key = metric.distance_to_key(radius);
-        let mut out = Vec::new();
-        self.scan(clock, |id, p| {
-            if metric.distance_key(p, q) <= key {
-                out.push(id);
-            }
-        });
-        out
-    }
 }
 
 impl AccessMethod for SeqScan {
@@ -237,10 +187,14 @@ impl AccessMethod for SeqScan {
     }
 
     /// The single scan search loop: one sequential sweep offering every
-    /// (matching) exact point to the shared [`Executor`]. The scan has no
-    /// approximation level, so `epsilon`, `nprobes` and `refine_factor`
-    /// cannot shorten it — only `time_budget` does (the sweep stops
-    /// between chunk reads, returning the best answer so far).
+    /// (matching) exact point to the shared [`Executor`]; non-matching
+    /// points are dropped before their distance is evaluated, so the
+    /// filtered result is the filter-then-scan oracle the other engines
+    /// are tested against. The scan has no approximation level, so
+    /// `epsilon`, `nprobes` and `refine_factor` cannot shorten it — only
+    /// `time_budget` does (the sweep stops between chunk reads, returning
+    /// the best answer so far). The [`QueryTrace`] reports one run and the
+    /// blocks read as `pages_processed`; nothing is refined.
     fn knn_opts_traced(
         &self,
         clock: &mut SimClock,
@@ -299,12 +253,30 @@ impl AccessMethod for SeqScan {
         })
     }
 
-    fn range(&self, clock: &mut SimClock, q: &[f32], radius: f64) -> Vec<u32> {
-        SeqScan::range(self, clock, q, radius)
+    /// All points inside the query window (unordered ids).
+    fn window(&self, clock: &mut SimClock, window: &iq_geometry::Mbr) -> Vec<u32> {
+        assert_eq!(window.dim(), self.dim, "window dimensionality mismatch");
+        let mut out = Vec::new();
+        self.scan(clock, |id, p| {
+            if window.contains_point(p) {
+                out.push(id);
+            }
+        });
+        out
     }
 
-    fn window(&self, clock: &mut SimClock, window: &iq_geometry::Mbr) -> Vec<u32> {
-        SeqScan::window(self, clock, window)
+    /// All points within `radius` of `q`, as ids (unordered).
+    fn range(&self, clock: &mut SimClock, q: &[f32], radius: f64) -> Vec<u32> {
+        assert_eq!(q.len(), self.dim);
+        let metric = self.metric;
+        let key = metric.distance_to_key(radius);
+        let mut out = Vec::new();
+        self.scan(clock, |id, p| {
+            if metric.distance_key(p, q) <= key {
+                out.push(id);
+            }
+        });
+        out
     }
 }
 

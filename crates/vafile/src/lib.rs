@@ -77,6 +77,7 @@ pub fn auto_bits(
 /// # Example
 ///
 /// ```
+/// use iq_engine::AccessMethod;
 /// use iq_geometry::{Dataset, Metric};
 /// use iq_storage::{MemDevice, SimClock};
 /// use iq_vafile::VaFile;
@@ -289,40 +290,39 @@ impl VaFile {
         self.codec
             .decode_entry_into(&buf[byte_off..byte_off + self.codec.entry_bytes()], out);
     }
+}
 
-    /// Exact nearest neighbor of `q`.
-    pub fn nearest(&self, clock: &mut SimClock, q: &[f32]) -> Option<(u32, f64)> {
-        self.knn(clock, q, 1).pop()
+impl AccessMethod for VaFile {
+    fn name(&self) -> &'static str {
+        "vafile"
     }
 
-    /// The `k` exact nearest neighbors of `q`, ordered by increasing
-    /// distance.
-    pub fn knn(&self, clock: &mut SimClock, q: &[f32], k: usize) -> Vec<(u32, f64)> {
-        self.knn_traced(clock, q, k).0
+    fn dim(&self) -> usize {
+        self.dim
     }
 
-    /// Like [`VaFile::knn`], additionally reporting what the two-phase
-    /// search did: the approximation sweep ([`QueryTrace::runs`] = 1,
-    /// `pages_processed` = blocks scanned), the candidates surviving the
-    /// filter (`approx_enqueued`) and the exact fetches actually performed
-    /// (`refinements`).
-    pub fn knn_traced(
-        &self,
-        clock: &mut SimClock,
-        q: &[f32],
-        k: usize,
-    ) -> (Vec<(u32, f64)>, QueryTrace) {
-        self.knn_traced_impl(clock, q, k, None, &QueryOptions::EXACT)
+    fn len(&self) -> usize {
+        self.n
     }
 
-    /// Shared two-phase search; `filter` (if any) is pushed into the
-    /// approximation sweep, so δ and the candidate set derive only from
-    /// matching points and `k` counts post-filter results. Phase 2 is the
-    /// shared executor's [`refine_ascending`] sweep, which owns pruning,
-    /// ε-termination, the `refine_factor` cap and the time budget;
-    /// `nprobes` truncates the sorted candidate list first (IVF-style:
-    /// only the m best approximations are ever refined).
-    fn knn_traced_impl(
+    fn metric(&self) -> Metric {
+        self.metric
+    }
+
+    /// The two-phase VA-file search. Phase 1 sweeps the whole
+    /// approximation file once; a pushed-down `filter` is applied there,
+    /// so δ and the candidate set derive only from matching points and `k`
+    /// counts post-filter results. Phase 2 is the shared executor's
+    /// [`refine_ascending`] sweep, which owns pruning, ε-termination, the
+    /// `refine_factor` cap and the time budget; `nprobes` truncates the
+    /// sorted candidate list first (IVF-style: only the m best
+    /// approximations are ever refined).
+    ///
+    /// In the [`QueryTrace`], the approximation sweep is one run
+    /// (`runs` = 1, `pages_processed` = blocks scanned), `approx_enqueued`
+    /// counts the candidates surviving the filter and `refinements` the
+    /// exact fetches actually performed.
+    fn knn_opts_traced(
         &self,
         clock: &mut SimClock,
         q: &[f32],
@@ -377,75 +377,10 @@ impl VaFile {
         out
     }
 
-    /// All points inside the query window (unordered ids): one scan of the
-    /// approximation file; a point is refined only when its cell box
-    /// straddles the window boundary.
-    pub fn window(&self, clock: &mut SimClock, window: &Mbr) -> Vec<u32> {
-        assert_eq!(window.dim(), self.dim, "window dimensionality mismatch");
-        clock.phase_begin(Phase::Filter);
-        let mut wtable = WindowTable::new();
-        wtable.build(&self.mbr, self.bits, window, self.n);
-        let entry = self.entry_bytes;
-        let total_blocks = self.approx.num_blocks();
-        let mut out = Vec::new();
-        let mut to_verify: Vec<u32> = Vec::new();
-        let mut processed = 0usize;
-        let mut carry: Vec<u8> = Vec::new();
-        let mut block = 0u64;
-        // Batch scratch: whole-chunk unpack + SIMD window classification.
-        let mut block_cells: Vec<u32> = Vec::new();
-        let mut flags: Vec<u8> = Vec::new();
-        let mut matches: Vec<CellMatch> = Vec::new();
-        while block < total_blocks && processed < self.n {
-            let nb = SCAN_CHUNK_BLOCKS.min(total_blocks - block);
-            let chunk = self
-                .approx
-                .read_to_vec(clock, block, nb)
-                .expect("read approximation file");
-            carry.extend_from_slice(&chunk);
-            let avail = (carry.len() / entry).min(self.n - processed);
-            if avail > 0 {
-                block_cells.clear();
-                block_cells.resize(avail * self.dim, 0);
-                iq_quantize::simd::unpack_block(
-                    &carry[..avail * entry],
-                    entry,
-                    0,
-                    self.bits,
-                    self.dim,
-                    &mut block_cells,
-                );
-                wtable.classify_batch(&block_cells, &mut flags, &mut matches);
-                for (j, &m) in matches.iter().enumerate() {
-                    match m {
-                        CellMatch::Inside => out.push((processed + j) as u32),
-                        CellMatch::Partial => to_verify.push((processed + j) as u32),
-                        CellMatch::Disjoint => {}
-                    }
-                }
-                carry.drain(..avail * entry);
-                processed += avail;
-            }
-            block += nb;
-        }
-        clock.charge_dist_evals(self.dim, self.n as u64);
-        clock.phase_begin(Phase::Refine);
-        let mut p = vec![0.0f32; self.dim];
-        for id in to_verify {
-            self.fetch_exact_into(clock, id as usize, &mut p);
-            clock.charge_dist_evals(self.dim, 1);
-            if window.contains_point(&p) {
-                out.push(id);
-            }
-        }
-        clock.phase_end();
-        out
-    }
-
     /// All points within `radius` of `q` (unordered ids). Points whose cell
     /// box lies entirely within the radius are accepted without fetching
     /// their exact coordinates.
-    pub fn range(&self, clock: &mut SimClock, q: &[f32], radius: f64) -> Vec<u32> {
+    fn range(&self, clock: &mut SimClock, q: &[f32], radius: f64) -> Vec<u32> {
         assert_eq!(q.len(), self.dim);
         let key_r = self.metric.distance_to_key(radius);
         // Reuse the filter scan with k = 1 to get lower bounds; re-derive
@@ -516,44 +451,70 @@ impl VaFile {
         clock.phase_end();
         out
     }
-}
 
-impl AccessMethod for VaFile {
-    fn name(&self) -> &'static str {
-        "vafile"
-    }
-
-    fn dim(&self) -> usize {
-        self.dim
-    }
-
-    fn len(&self) -> usize {
-        self.n
-    }
-
-    fn metric(&self) -> Metric {
-        self.metric
-    }
-
-    fn knn_opts_traced(
-        &self,
-        clock: &mut SimClock,
-        q: &[f32],
-        k: usize,
-        filter: Option<&Filter>,
-        opts: &QueryOptions,
-    ) -> (Vec<(u32, f64)>, QueryTrace) {
-        // True pushdown: the predicate rides the approximation sweep, so no
-        // top-up rounds are ever needed.
-        self.knn_traced_impl(clock, q, k, filter, opts)
-    }
-
-    fn range(&self, clock: &mut SimClock, q: &[f32], radius: f64) -> Vec<u32> {
-        VaFile::range(self, clock, q, radius)
-    }
-
+    /// All points inside the query window (unordered ids): one scan of the
+    /// approximation file; a point is refined only when its cell box
+    /// straddles the window boundary.
     fn window(&self, clock: &mut SimClock, window: &Mbr) -> Vec<u32> {
-        VaFile::window(self, clock, window)
+        assert_eq!(window.dim(), self.dim, "window dimensionality mismatch");
+        clock.phase_begin(Phase::Filter);
+        let mut wtable = WindowTable::new();
+        wtable.build(&self.mbr, self.bits, window, self.n);
+        let entry = self.entry_bytes;
+        let total_blocks = self.approx.num_blocks();
+        let mut out = Vec::new();
+        let mut to_verify: Vec<u32> = Vec::new();
+        let mut processed = 0usize;
+        let mut carry: Vec<u8> = Vec::new();
+        let mut block = 0u64;
+        // Batch scratch: whole-chunk unpack + SIMD window classification.
+        let mut block_cells: Vec<u32> = Vec::new();
+        let mut flags: Vec<u8> = Vec::new();
+        let mut matches: Vec<CellMatch> = Vec::new();
+        while block < total_blocks && processed < self.n {
+            let nb = SCAN_CHUNK_BLOCKS.min(total_blocks - block);
+            let chunk = self
+                .approx
+                .read_to_vec(clock, block, nb)
+                .expect("read approximation file");
+            carry.extend_from_slice(&chunk);
+            let avail = (carry.len() / entry).min(self.n - processed);
+            if avail > 0 {
+                block_cells.clear();
+                block_cells.resize(avail * self.dim, 0);
+                iq_quantize::simd::unpack_block(
+                    &carry[..avail * entry],
+                    entry,
+                    0,
+                    self.bits,
+                    self.dim,
+                    &mut block_cells,
+                );
+                wtable.classify_batch(&block_cells, &mut flags, &mut matches);
+                for (j, &m) in matches.iter().enumerate() {
+                    match m {
+                        CellMatch::Inside => out.push((processed + j) as u32),
+                        CellMatch::Partial => to_verify.push((processed + j) as u32),
+                        CellMatch::Disjoint => {}
+                    }
+                }
+                carry.drain(..avail * entry);
+                processed += avail;
+            }
+            block += nb;
+        }
+        clock.charge_dist_evals(self.dim, self.n as u64);
+        clock.phase_begin(Phase::Refine);
+        let mut p = vec![0.0f32; self.dim];
+        for id in to_verify {
+            self.fetch_exact_into(clock, id as usize, &mut p);
+            clock.charge_dist_evals(self.dim, 1);
+            if window.contains_point(&p) {
+                out.push(id);
+            }
+        }
+        clock.phase_end();
+        out
     }
 
     /// The [`predict_cost`] model evaluated against this file's actual

@@ -11,7 +11,7 @@
 use iqtree_repro::data::{self, Workload};
 use iqtree_repro::geometry::Metric;
 use iqtree_repro::storage::{CpuModel, DiskModel, MemDevice, SimClock};
-use iqtree_repro::tree::{IqTree, IqTreeOptions};
+use iqtree_repro::tree::{AccessMethod, IqTree, IqTreeOptions};
 
 fn main() {
     let w = Workload::generate(60_000, 20, |n| data::uniform(12, n, 17));

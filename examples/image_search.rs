@@ -11,7 +11,7 @@
 use iqtree_repro::data::{self, Workload};
 use iqtree_repro::geometry::Metric;
 use iqtree_repro::storage::{MemDevice, SimClock};
-use iqtree_repro::tree::{IqTree, IqTreeOptions};
+use iqtree_repro::tree::{AccessMethod, IqTree, IqTreeOptions};
 use iqtree_repro::vafile::VaFile;
 
 const DIM: usize = 16;

@@ -8,7 +8,7 @@
 use iqtree_repro::data::{self, Workload};
 use iqtree_repro::geometry::Metric;
 use iqtree_repro::storage::{MemDevice, SimClock};
-use iqtree_repro::tree::{IqTree, IqTreeOptions};
+use iqtree_repro::tree::{AccessMethod, IqTree, IqTreeOptions};
 
 const DIM: usize = 9;
 const N: usize = 120_000;

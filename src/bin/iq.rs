@@ -574,32 +574,14 @@ fn cmd_query(opts: &HashMap<String, String>) -> Result<(), String> {
         .get("filter")
         .map(|expr| build_filter(expr, opts, eng.len()))
         .transpose()?;
-    let paged = filter.is_some() || page.offset > 0 || page.limit.is_some();
     let traced = opts.contains_key("trace");
     let trace_tree = opts.contains_key("trace-tree");
     let trace_json = opts.get("trace-json").cloned();
     if trace_tree || trace_json.is_some() {
         clock.enable_tracing();
     }
-    let (hits, trace) = if paged {
-        // Filtered/paginated path: trace the search, then slice the
-        // canonically ordered list exactly as `knn_paginated_opts` does.
-        let (mut all, trace) =
-            eng.knn_opts_traced(&mut clock, &point, page.k, filter.as_ref(), &qopts);
-        all.sort_by(|a, b| {
-            a.1.partial_cmp(&b.1)
-                .expect("no NaN distances")
-                .then(a.0.cmp(&b.0))
-        });
-        let hits: Vec<(u32, f64)> = all
-            .into_iter()
-            .skip(page.offset)
-            .take(page.limit.unwrap_or(usize::MAX))
-            .collect();
-        (hits, trace)
-    } else {
-        eng.knn_opts_traced(&mut clock, &point, page.k, None, &qopts)
-    };
+    let (hits, trace) = eng.knn_opts_traced(&mut clock, &point, page.k, filter.as_ref(), &qopts);
+    let hits = page.slice(hits);
     for (rank, (id, dist)) in hits.iter().enumerate() {
         println!(
             "{:>3}. id {id:>8}  distance {dist:.6}",
@@ -906,15 +888,16 @@ fn cmd_range(opts: &HashMap<String, String>) -> Result<(), String> {
 }
 
 /// Runs a whole k-NN workload through the engine-layer batch executor
-/// ([`iqtree_repro::engine::knn_batch`]): the queries are CSV rows, fanned
-/// out over `--threads` OS threads sharing one engine. Reported costs are
-/// the fold of the per-query clocks and are identical for every thread
-/// count.
+/// ([`iqtree_repro::engine::knn_batch_opts_traced`]): the queries are CSV
+/// rows, fanned out over `--threads` OS threads sharing one engine, with
+/// `--filter` and the approximation knobs pushed into every search; each
+/// answer is then sliced by `--offset`/`--limit` like `iq query`'s.
+/// Reported costs are the fold of the per-micro-batch clocks and are
+/// identical for every thread count.
 fn cmd_batch(opts: &HashMap<String, String>) -> Result<(), String> {
     let qfile = req(opts, "queries")?;
     let page = parse_page(opts)?;
     let qopts = parse_query_opts(opts)?;
-    let k = page.k;
     let threads: usize = opts
         .get("threads")
         .map_or(Ok(1), |s| parse_num(s, "--threads"))?;
@@ -932,44 +915,17 @@ fn cmd_batch(opts: &HashMap<String, String>) -> Result<(), String> {
         .map(|expr| build_filter(expr, opts, eng.len()))
         .transpose()?;
     let queries: Vec<Vec<f32>> = qs.iter().map(<[f32]>::to_vec).collect();
-    let mut agg = iqtree_repro::engine::QueryTrace::default();
-    let results: Vec<Vec<(u32, f64)>> =
-        if filter.is_some() || page.offset > 0 || page.limit.is_some() {
-            // Filtered/paginated workloads run serially: costs accumulate on
-            // the one clock exactly as the batch executor's fold would, and
-            // the canonically ordered list is sliced as `knn_paginated_opts`
-            // does (traced here so the approximate summary still reports).
-            queries
-                .iter()
-                .map(|q| {
-                    let (mut all, t) =
-                        eng.knn_opts_traced(&mut clock, q, page.k, filter.as_ref(), &qopts);
-                    agg.merge(&t);
-                    all.sort_by(|a, b| {
-                        a.1.partial_cmp(&b.1)
-                            .expect("no NaN distances")
-                            .then(a.0.cmp(&b.0))
-                    });
-                    all.into_iter()
-                        .skip(page.offset)
-                        .take(page.limit.unwrap_or(usize::MAX))
-                        .collect()
-                })
-                .collect()
-        } else {
-            let (traced, batch_agg) = iqtree_repro::engine::knn_batch_opts_traced(
-                eng.as_ref(),
-                &mut clock,
-                &queries,
-                k,
-                threads,
-                filter.as_ref(),
-                &qopts,
-            );
-            agg = batch_agg;
-            traced.into_iter().map(|(res, _)| res).collect()
-        };
-    for (i, hits) in results.iter().enumerate() {
+    let (traced, agg) = iqtree_repro::engine::knn_batch_opts_traced(
+        eng.as_ref(),
+        &mut clock,
+        &queries,
+        page.k,
+        threads,
+        filter.as_ref(),
+        &qopts,
+    );
+    let results = traced.into_iter().map(|(res, _)| page.slice(res));
+    for (i, hits) in results.enumerate() {
         let row: Vec<String> = hits
             .iter()
             .map(|(id, dist)| format!("{id}:{dist:.6}"))
@@ -1351,21 +1307,24 @@ fn cmd_bench(opts: &HashMap<String, String>) -> Result<(), String> {
             if slowlog.should_sample() {
                 clock.enable_tracing();
             }
-            let got = knn_paginated(eng.as_ref(), &mut clock, q, Some(&filter), &page);
+            let got = knn_paginated(
+                eng.as_ref(),
+                &mut clock,
+                q,
+                Some(&filter),
+                &page,
+                &QueryOptions::EXACT,
+            );
             total += clock.total_time();
             if let Some(tree) = clock.take_trace() {
                 slowlog.offer(&format!("{}/filtered/q{qi}", eng.name()), tree);
             }
-            let mut oracle: Vec<(u32, f64)> = (0..w.db.len() as u32)
-                .filter(|&i| filter.matches(i))
-                .map(|i| (i, metric.distance(w.db.point(i as usize), q)))
-                .collect();
-            oracle.sort_by(|a, b| {
-                a.1.partial_cmp(&b.1)
-                    .expect("no NaN distances")
-                    .then(a.0.cmp(&b.0))
-            });
-            oracle.truncate(fk);
+            let oracle = page.slice(
+                (0..w.db.len() as u32)
+                    .filter(|&i| filter.matches(i))
+                    .map(|i| (i, metric.distance(w.db.point(i as usize), q)))
+                    .collect(),
+            );
             let matched = oracle
                 .iter()
                 .zip(&got)

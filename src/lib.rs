@@ -19,7 +19,7 @@
 //! use iqtree_repro::data::{self, Workload};
 //! use iqtree_repro::geometry::Metric;
 //! use iqtree_repro::storage::{MemDevice, SimClock};
-//! use iqtree_repro::tree::{IqTree, IqTreeOptions};
+//! use iqtree_repro::tree::{AccessMethod, IqTree, IqTreeOptions};
 //!
 //! // 2 000 uniform points in 8 dimensions, 5 held out as queries.
 //! let w = Workload::generate(2_000, 5, |n| data::uniform(8, n, 42));

@@ -11,7 +11,7 @@
 //! approximate options still tiles without overlap or gaps.
 
 use iqtree_repro::data;
-use iqtree_repro::engine::{knn_paginated_opts, AccessMethod, PageSpec, QueryOptions};
+use iqtree_repro::engine::{knn_paginated, AccessMethod, PageSpec, QueryOptions};
 use iqtree_repro::geometry::{Dataset, Metric};
 use iqtree_repro::storage::{BlockDevice, MemDevice, SimClock};
 use iqtree_repro::{build_engine, EngineKind};
@@ -247,7 +247,7 @@ fn pagination_tiles_under_approximate_options() {
     };
     let k = 20usize;
     for q in queries.iter().take(3) {
-        let full = knn_paginated_opts(eng.as_ref(), &mut clock, q, None, &PageSpec::top(k), &opts);
+        let full = knn_paginated(eng.as_ref(), &mut clock, q, None, &PageSpec::top(k), &opts);
         let mut tiled = Vec::new();
         let step = 5usize;
         for offset in (0..k).step_by(step) {
@@ -256,7 +256,7 @@ fn pagination_tiles_under_approximate_options() {
                 offset,
                 limit: Some(step),
             };
-            tiled.extend(knn_paginated_opts(
+            tiled.extend(knn_paginated(
                 eng.as_ref(),
                 &mut clock,
                 q,

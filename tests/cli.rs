@@ -303,6 +303,115 @@ fn bench_subcommand_runs() {
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
+/// `iq batch` with a filter and pagination: the output is identical for
+/// every `--threads` value, and each row is what `iq query` prints for that
+/// point with the same `--filter/--k/--offset/--limit`.
+#[test]
+fn batch_subcommand_filtered_and_paginated() {
+    let dir = TempDir::new("cli");
+    let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/cad600_8d.csv");
+    let idx = dir.join("idx");
+    let out = iq()
+        .args(["build", "--input", fixture, "--block", "1024"])
+        .args(["--index", idx.to_str().expect("utf8")])
+        .output()
+        .expect("run build");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    // 20 fixture rows as queries: more than one micro-batch, so two
+    // threads really split the work.
+    let text = std::fs::read_to_string(fixture).expect("read fixture");
+    let rows: Vec<&str> = text
+        .lines()
+        .filter(|l| l.starts_with('['))
+        .take(20)
+        .collect();
+    let qs = dir.join("qs.csv");
+    std::fs::write(&qs, rows.join("\n") + "\n").expect("write queries");
+    let slice = [
+        "--filter",
+        "weight range 10..60",
+        "--k",
+        "8",
+        "--offset",
+        "2",
+        "--limit",
+        "3",
+    ];
+
+    let batch = |threads: &str| {
+        let out = iq()
+            .args(["batch", "--index", idx.to_str().expect("utf8")])
+            .args(["--queries", qs.to_str().expect("utf8"), "--input", fixture])
+            .args(slice)
+            .args(["--threads", threads])
+            .output()
+            .expect("run batch");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let (one, two) = (batch("1"), batch("2"));
+    let query_rows = |s: &str| -> Vec<String> {
+        s.lines()
+            .filter(|l| l.starts_with("query "))
+            .map(str::to_owned)
+            .collect()
+    };
+    let rows_one = query_rows(&one);
+    assert_eq!(rows_one.len(), rows.len(), "{one}");
+    assert_eq!(
+        rows_one,
+        query_rows(&two),
+        "rows differ across thread counts"
+    );
+    let simulated = |s: &str| -> String {
+        let line = s
+            .lines()
+            .find(|l| l.contains("simulated ms"))
+            .expect("summary");
+        line[line.find(": ").expect("summary figures")..].to_owned()
+    };
+    assert_eq!(simulated(&one), simulated(&two), "{one}\n{two}");
+    assert!(two.contains("on 2 thread(s)"), "{two}");
+
+    for (i, (row, query)) in rows_one.iter().zip(&rows).enumerate() {
+        let point = &query[1..query.find(']').expect("closing bracket")];
+        let out = iq()
+            .args(["query", "--index", idx.to_str().expect("utf8")])
+            .args(["--point", point, "--input", fixture])
+            .args(slice)
+            .output()
+            .expect("run query");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        // `  3. id      431  distance 0.065637` -> `431:0.065637`
+        let hits: Vec<String> = String::from_utf8_lossy(&out.stdout)
+            .lines()
+            .filter(|l| l.contains(" id "))
+            .map(|l| {
+                let f: Vec<&str> = l.split_whitespace().collect();
+                format!("{}:{}", f[2], f[4])
+            })
+            .collect();
+        assert!(!hits.is_empty(), "query {i} returned nothing");
+        assert_eq!(
+            *row,
+            format!("query {i:>4}: {}", hits.join(" ")),
+            "query {i}"
+        );
+    }
+}
+
 #[test]
 fn helpful_errors() {
     // Unknown command.

@@ -6,7 +6,7 @@ use iqtree_repro::data::{self, Workload};
 use iqtree_repro::geometry::Metric;
 use iqtree_repro::scan::SeqScan;
 use iqtree_repro::storage::{MemDevice, SimClock};
-use iqtree_repro::tree::{IqTree, IqTreeOptions};
+use iqtree_repro::tree::{AccessMethod, IqTree, IqTreeOptions};
 use iqtree_repro::xtree::{XTree, XTreeOptions};
 
 fn dev() -> Box<MemDevice> {

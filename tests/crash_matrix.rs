@@ -27,7 +27,7 @@ use iqtree_repro::storage::{
     BlockDevice, FaultConfig, FaultInjectingDevice, IqResult, MemDevice, MemWal, SimClock, WalStore,
 };
 use iqtree_repro::tree::verify::verify_index_with_wal;
-use iqtree_repro::tree::{IqTree, IqTreeOptions};
+use iqtree_repro::tree::{AccessMethod, IqTree, IqTreeOptions};
 use iqtree_repro::wal::FRAME_OVERHEAD;
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};

@@ -11,7 +11,7 @@
 //! result list so disjoint offsets paginate without overlap or gaps.
 
 use iqtree_repro::data::{self, Predicate, VectorDataset};
-use iqtree_repro::engine::{knn_paginated, AccessMethod, Filter, PageSpec};
+use iqtree_repro::engine::{knn_paginated, AccessMethod, Filter, PageSpec, QueryOptions};
 use iqtree_repro::geometry::{Dataset, Metric};
 use iqtree_repro::storage::{
     BlockDevice, DeviceStack, FaultConfig, MemDevice, RetryPolicy, SimClock,
@@ -212,6 +212,7 @@ fn pagination_tiles_the_filtered_result_on_every_engine() {
             &q,
             Some(&filter),
             &PageSpec::top(K),
+            &QueryOptions::EXACT,
         );
         assert_eq!(full.len(), K.min(filter.matching()), "{}", eng.name());
         // Strictly canonically ordered: ascending distance, ties by id.
@@ -234,6 +235,7 @@ fn pagination_tiles_the_filtered_result_on_every_engine() {
                     offset,
                     limit: Some(7),
                 },
+                &QueryOptions::EXACT,
             );
             assert!(page.len() <= 7);
             tiled.extend(page);
@@ -250,6 +252,7 @@ fn pagination_tiles_the_filtered_result_on_every_engine() {
                 offset: K + 1,
                 limit: None,
             },
+            &QueryOptions::EXACT,
         );
         assert!(empty.is_empty(), "{}", eng.name());
     }

@@ -5,7 +5,7 @@
 use iqtree_repro::data::{self};
 use iqtree_repro::geometry::{Dataset, Metric};
 use iqtree_repro::storage::{MemDevice, SimClock};
-use iqtree_repro::tree::{IqTree, IqTreeOptions};
+use iqtree_repro::tree::{AccessMethod, IqTree, IqTreeOptions};
 use iqtree_repro::xtree::{XTree, XTreeOptions};
 
 fn dev() -> Box<MemDevice> {

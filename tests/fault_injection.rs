@@ -8,7 +8,7 @@ mod common;
 
 use common::TempDir;
 use iqtree_repro::data::{self, Workload};
-use iqtree_repro::engine::{AccessMethod, QueryOptions, TracedResult};
+use iqtree_repro::engine::{knn_batch, AccessMethod, QueryOptions, TracedResult};
 use iqtree_repro::geometry::{Dataset, Mbr, Metric};
 use iqtree_repro::storage::{
     BlockDevice, FaultConfig, FaultInjectingDevice, FileDevice, MemWal, SimClock,
@@ -79,7 +79,7 @@ fn transient_faults_are_invisible_in_batch_results() {
     let queries: Vec<Vec<f32>> = w.queries.iter().map(<[f32]>::to_vec).collect();
 
     let (clean_tree, mut clean_clock) = reopen(&dir, 4096, 8, |_, d| d);
-    let clean = clean_tree.knn_batch(&mut clean_clock, &queries, 10, 4);
+    let clean = knn_batch(&clean_tree, &mut clean_clock, &queries, 10, 4);
 
     let cfg = FaultConfig {
         seed: 7,
@@ -91,7 +91,7 @@ fn transient_faults_are_invisible_in_batch_results() {
     let (faulty_tree, mut faulty_clock) = reopen(&dir, 4096, 8, |_, d| {
         Box::new(FaultInjectingDevice::new(d, cfg))
     });
-    let faulty = faulty_tree.knn_batch(&mut faulty_clock, &queries, 10, 4);
+    let faulty = knn_batch(&faulty_tree, &mut faulty_clock, &queries, 10, 4);
 
     assert_eq!(clean, faulty, "retries must hide every transient fault");
     let stats = faulty_clock.stats();
@@ -202,8 +202,8 @@ fn corrupt_quant_block_degrades_every_query_path_to_the_exact_level() {
     // k = n: nothing is prunable, so every lane reads the corrupt page.
     let k = tree.len();
     assert_eq!(
-        tree.knn_batch(&mut clock, &queries, k, 2),
-        clean.knn_batch(&mut clean_clock, &queries, k, 2)
+        knn_batch(&tree, &mut clock, &queries, k, 2),
+        knn_batch(&clean, &mut clean_clock, &queries, k, 2)
     );
     for (hits, trace) in multi_knn(&tree, &mut clock, &w.queries, k) {
         assert_eq!(hits.len(), k);

@@ -10,7 +10,7 @@ use iqtree_repro::geometry::Metric;
 use iqtree_repro::storage::{
     BlockDevice, ChecksummedDevice, FileDevice, IqError, MemDevice, MmapFileDevice, SimClock,
 };
-use iqtree_repro::tree::{IqTree, IqTreeOptions};
+use iqtree_repro::tree::{AccessMethod, IqTree, IqTreeOptions};
 
 #[test]
 fn file_and_memory_backends_agree() {
