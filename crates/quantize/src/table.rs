@@ -60,9 +60,6 @@ pub struct DistTable {
     /// `dim × cells` farthest-corner contributions in key space:
     /// `metric.contrib(far_gap(q_i, cell_lb, cell_ub))`.
     hi: Vec<f64>,
-    /// `dim × cells` center-distance contributions in key space — the
-    /// classic ADC estimate `metric.contrib(|q_i - cell_center|)`.
-    center: Vec<f64>,
     /// Query coordinates widened to f64.
     q: Vec<f64>,
     /// Grid lower bound per dimension, widened to f64.
@@ -87,7 +84,6 @@ impl DistTable {
             materialized: false,
             lo: Vec::new(),
             hi: Vec::new(),
-            center: Vec::new(),
             q: Vec::new(),
             grid_lb: Vec::new(),
             width: Vec::new(),
@@ -130,13 +126,11 @@ impl DistTable {
         self.materialized = cells <= MAX_TABLE_CELLS && cells <= 8 * hint_n.max(1);
         self.lo.clear();
         self.hi.clear();
-        self.center.clear();
         if !self.materialized {
             return;
         }
         self.lo.reserve(self.dim * cells);
         self.hi.reserve(self.dim * cells);
-        self.center.reserve(self.dim * cells);
         for i in 0..self.dim {
             let qi = self.q[i];
             let lb = self.grid_lb[i];
@@ -148,8 +142,6 @@ impl DistTable {
                     .push(metric.contrib(Metric::box_gap(qi, cell_lb, cell_ub)));
                 self.hi
                     .push(metric.contrib(Metric::far_gap(qi, cell_lb, cell_ub)));
-                let center = (cell_lb + cell_ub) * 0.5;
-                self.center.push(metric.contrib((qi - center).abs()));
             }
         }
     }
@@ -229,31 +221,6 @@ impl DistTable {
     #[inline]
     pub fn maxdist(&self, cells: &[u32]) -> f64 {
         self.metric.key_to_distance(self.maxdist_key(cells))
-    }
-
-    /// The asymmetric-distance (ADC) estimate in key space: the distance
-    /// from the query to the candidate's cell *center*. Not a bound —
-    /// useful as a cheap ranking estimate and for benchmarking the kernel.
-    #[inline]
-    pub fn center_key(&self, cells: &[u32]) -> f64 {
-        debug_assert_eq!(cells.len(), self.dim);
-        let mut acc = 0.0f64;
-        if self.materialized {
-            for (i, &c) in cells.iter().enumerate() {
-                acc = self
-                    .metric
-                    .combine(acc, self.center[i * self.cells + c as usize]);
-            }
-        } else {
-            for (i, &c) in cells.iter().enumerate() {
-                let (lo, hi) = self.cell_edges(i, c);
-                let center = (lo + hi) * 0.5;
-                acc = self
-                    .metric
-                    .combine(acc, self.metric.contrib((self.q[i] - center).abs()));
-            }
-        }
-        acc
     }
 
     /// Batch [`Self::mindist_key`] over an entry-major cell block
@@ -689,27 +656,6 @@ mod tests {
                     hot.maxdist(&cells).to_bits(),
                     cold.maxdist(&cells).to_bits()
                 );
-                assert_eq!(
-                    hot.center_key(&cells).to_bits(),
-                    cold.center_key(&cells).to_bits()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn center_key_brackets_between_bounds() {
-        let mbr = mbr2();
-        let q = [-3.0f32, 8.0];
-        let mut t = DistTable::new();
-        t.build(&mbr, 5, Metric::Euclidean, &q, 1024);
-        for a in [0u32, 7, 31] {
-            for b in [0u32, 16, 31] {
-                let cells = [a, b];
-                let lo = t.mindist_key(&cells);
-                let hi = Metric::Euclidean.distance_to_key(t.maxdist(&cells));
-                let adc = t.center_key(&cells);
-                assert!(lo <= adc + 1e-9 && adc <= hi + 1e-9, "{lo} {adc} {hi}");
             }
         }
     }

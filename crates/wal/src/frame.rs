@@ -214,6 +214,26 @@ mod tests {
     }
 
     #[test]
+    fn crc_covers_len_through_payload() {
+        // A page image large enough to reach the folded CRC path.
+        let record = WalRecord::PageWrite {
+            level: Level::Quant,
+            block: 7,
+            bytes: (0..8188u32).map(|i| (i * 31 + 5) as u8).collect(),
+        };
+        let mut frame = vec![0xEEu8; 3]; // bytes of an earlier frame
+        encode_frame(&mut frame, 42, &record);
+        let frame = &frame[3..];
+        let crc_at = frame.len() - 4;
+        let stored = u32::from_le_bytes(frame[crc_at..].try_into().unwrap());
+        let len = u32::from_le_bytes(frame[..4].try_into().unwrap()) as usize;
+        assert_eq!(len + FRAME_OVERHEAD, frame.len());
+        assert_eq!(stored, crc32(&frame[..crc_at]));
+        // The length prefix is covered, not just `lsn | kind | payload`.
+        assert_ne!(stored, crc32(&frame[4..crc_at]));
+    }
+
+    #[test]
     fn scan_recovers_committed_txns() {
         let mut log = sample_txn(0, 0);
         log.extend(sample_txn(3, 1));

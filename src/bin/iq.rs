@@ -91,12 +91,12 @@ const USAGE: &str = "usage:
   iq range    --index <dir> --point <x,y,...> --radius <r> [--cache-blocks <frames>] [--engine <e>]
   iq batch    --index <dir> --queries <file> [--k <k>] [--filter <expr>] [--limit <m>] [--offset <o>] [--epsilon <e>] [--nprobes <p>] [--refine-factor <f>] [--budget-ms <ms>] [--threads <t>] [--cache-blocks <frames>] [--engine <e>]
   iq stats    --index <dir> [--format <prometheus|json>] [--cache-blocks <frames>]
-  iq stats    --slow [--slow-log <path>] | --window <n> [--telemetry <path>]
+  iq stats    --slow [--slow-log <path>] | --window <n> [--telemetry <path>] [--out-dir <dir>]
   iq verify   --index <dir>
   iq checkpoint --index <dir>
   iq recover  --index <dir> [--dry-run]
   iq bench    --input <file> [--queries <q>] [--metric <l2|linf|l1>] [--json]
-              [--date <yyyy-mm-dd>]
+              [--date <yyyy-mm-dd>] [--out-dir <dir>]
 
 Vector files may be CSV (plain rows, or `[x,y,...],attr,...` literals with
 an optional `# attrs: name,...` header), fvecs or bvecs — the format is
@@ -130,6 +130,8 @@ the query also runs and predicted vs observed are compared side by side.
 `iq bench` as iq-slowlog.json, 1-in-N sampled trace trees, top-K slowest
 kept); `iq stats --window <n>` reports counter rates and histogram
 percentiles over the last n telemetry snapshots (iq-telemetry.json).
+Both files live in --out-dir <dir> (default: the current directory), which
+`iq bench` creates if needed and `iq stats` reads from.
 --metrics-json <path> (any command) enables the global metrics registry and
 writes its JSON snapshot to <path> on exit.
 `iq checkpoint` folds the write-ahead log into the base files (reclaiming
@@ -1396,34 +1398,46 @@ fn cmd_bench(opts: &HashMap<String, String>) -> Result<(), String> {
         println!();
         println!("(times are simulated: 10 ms seek, 1 ms / 8 KiB block, 100 ns CPU per dim-op)");
     }
-    // Persist the observability artifacts next to the run so `iq stats
+    // Persist the observability artifacts in --out-dir so `iq stats
     // --slow` / `--window` can read them back later.
-    std::fs::write(SLOWLOG_FILE, slowlog.to_json())
-        .map_err(|e| format!("write {SLOWLOG_FILE}: {e}"))?;
-    std::fs::write(TELEMETRY_FILE, telemetry.to_json())
-        .map_err(|e| format!("write {TELEMETRY_FILE}: {e}"))?;
+    let out_dir = out_dir(opts);
+    std::fs::create_dir_all(&out_dir).map_err(|e| format!("create {}: {e}", out_dir.display()))?;
+    let slowlog_path = out_dir.join(SLOWLOG_FILE);
+    let telemetry_path = out_dir.join(TELEMETRY_FILE);
+    std::fs::write(&slowlog_path, slowlog.to_json())
+        .map_err(|e| format!("write {}: {e}", slowlog_path.display()))?;
+    std::fs::write(&telemetry_path, telemetry.to_json())
+        .map_err(|e| format!("write {}: {e}", telemetry_path.display()))?;
     if !json {
         println!(
-            "wrote {SLOWLOG_FILE} ({} retained) and {TELEMETRY_FILE} ({} snapshot(s))",
+            "wrote {} ({} retained) and {} ({} snapshot(s))",
+            slowlog_path.display(),
             slowlog.entries().len(),
+            telemetry_path.display(),
             telemetry.len()
         );
     }
     Ok(())
 }
 
-/// Default paths of the observability artifacts `iq bench` persists next
-/// to wherever it runs; `iq stats --slow` / `--window` read them back.
+/// File names of the observability artifacts `iq bench` persists in
+/// `--out-dir`; `iq stats --slow` / `--window` read them back from there.
 const SLOWLOG_FILE: &str = "iq-slowlog.json";
 const TELEMETRY_FILE: &str = "iq-telemetry.json";
+
+/// The `--out-dir` holding the observability artifacts (default: the
+/// current directory, as the empty path so file names print bare).
+fn out_dir(opts: &HashMap<String, String>) -> PathBuf {
+    opts.get("out-dir").map(PathBuf::from).unwrap_or_default()
+}
 
 /// `iq stats --slow`: the retained slow-query log — the top-K slowest
 /// sampled queries with their full trace trees.
 fn cmd_stats_slow(opts: &HashMap<String, String>) -> Result<(), String> {
-    let path = opts
-        .get("slow-log")
-        .map_or(SLOWLOG_FILE, String::as_str)
-        .to_string();
+    let path = opts.get("slow-log").map_or_else(
+        || out_dir(opts).join(SLOWLOG_FILE).display().to_string(),
+        String::clone,
+    );
     let text = std::fs::read_to_string(&path)
         .map_err(|e| format!("read {path}: {e} (run `iq bench` first, or pass --slow-log)"))?;
     let entries = iqtree_repro::obs::SlowLog::load_json(&text)?;
@@ -1443,10 +1457,10 @@ fn cmd_stats_slow(opts: &HashMap<String, String>) -> Result<(), String> {
 /// the last `n` persisted telemetry snapshots.
 fn cmd_stats_window(opts: &HashMap<String, String>) -> Result<(), String> {
     let n: usize = parse_num(req(opts, "window")?, "--window")?;
-    let path = opts
-        .get("telemetry")
-        .map_or(TELEMETRY_FILE, String::as_str)
-        .to_string();
+    let path = opts.get("telemetry").map_or_else(
+        || out_dir(opts).join(TELEMETRY_FILE).display().to_string(),
+        String::clone,
+    );
     let text = std::fs::read_to_string(&path)
         .map_err(|e| format!("read {path}: {e} (run `iq bench` first, or pass --telemetry)"))?;
     let window = iqtree_repro::obs::TelemetryWindow::load_json(&text)?;

@@ -424,11 +424,16 @@ fn explain_analyze_stays_within_cost_band() {
 #[test]
 fn bench_persists_slow_log_and_telemetry_for_stats() {
     let dir = TempDir::new("obs-bench");
+    // A fresh directory below a separate temp dir: bench creates it.
+    let artifacts = TempDir::new("obs-bench-out");
+    let out_dir = artifacts.join("obs");
+    let out_dir_arg = out_dir.to_str().expect("utf8");
     let fixture = std::fs::canonicalize("tests/fixtures/cad600_8d.fvecs").expect("fixture");
     let out = iq()
         .current_dir(&dir)
         .args(["bench", "--input", fixture.to_str().expect("utf8")])
         .args(["--queries", "8", "--json", "--date", "2026-08-08"])
+        .args(["--out-dir", out_dir_arg])
         .output()
         .expect("run bench --json");
     assert!(
@@ -451,12 +456,17 @@ fn bench_persists_slow_log_and_telemetry_for_stats() {
     ] {
         assert!(report.contains(key), "missing {key} in report:\n{report}");
     }
-    assert!(dir.join("iq-slowlog.json").is_file());
-    assert!(dir.join("iq-telemetry.json").is_file());
+    assert!(out_dir.join("iq-slowlog.json").is_file());
+    assert!(out_dir.join("iq-telemetry.json").is_file());
+    let left_in_cwd: Vec<_> = std::fs::read_dir(&dir).expect("read cwd").collect();
+    assert!(
+        left_in_cwd.is_empty(),
+        "bench wrote into its cwd: {left_in_cwd:?}"
+    );
 
     let out = iq()
         .current_dir(&dir)
-        .args(["stats", "--slow"])
+        .args(["stats", "--slow", "--out-dir", out_dir_arg])
         .output()
         .expect("run stats --slow");
     assert!(
@@ -470,7 +480,7 @@ fn bench_persists_slow_log_and_telemetry_for_stats() {
 
     let out = iq()
         .current_dir(&dir)
-        .args(["stats", "--window", "4"])
+        .args(["stats", "--window", "4", "--out-dir", out_dir_arg])
         .output()
         .expect("run stats --window");
     assert!(
@@ -482,4 +492,5 @@ fn bench_persists_slow_log_and_telemetry_for_stats() {
     assert!(window.contains("sample(s) spanning"), "{window}");
     assert!(window.contains("rates:"), "{window}");
     std::fs::remove_dir_all(&dir).expect("cleanup");
+    std::fs::remove_dir_all(&artifacts).expect("cleanup");
 }
